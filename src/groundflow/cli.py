@@ -41,7 +41,6 @@ from .warp import ReconstructionConfig
 class ExperimentConfig:
     scene: SceneConfig
     fit: FitConfig
-    recon: ReconstructionConfig
     edges: EdgeCostParams
     two_stage: TwoStageConfig
     fps_strides: tuple[int, ...] = (1, 3, 5)
@@ -122,13 +121,8 @@ def load_experiment_config(path: str | None, seed_override: int | None = None) -
         schedule=schedule,
         weights=weights,
         optimizer=_g("fit.optimizer", str, "adaptive-moments"),
-        seed=scene.seed,
         window_cells=_g("fit.window", int, 21),
         se_radius=_g("fit.se_radius", float, scene.gaussian_radius_cells),
-    )
-    recon = ReconstructionConfig(
-        lambda_r=_g("recon.lambda_r", float, schedule.cap),
-        window_cells=_g("recon.window", int, fit_cfg.window_cells),
     )
     edges = EdgeCostParams(
         sigma_t=_g("edges.sigma_t", float, 0.5),
@@ -158,7 +152,6 @@ def load_experiment_config(path: str | None, seed_override: int | None = None) -
     return ExperimentConfig(
         scene=scene,
         fit=fit_cfg,
-        recon=recon,
         edges=edges,
         two_stage=two_stage,
         fps_strides=fps_strides,

@@ -38,7 +38,6 @@ class FitConfig:
     schedule: LambdaSchedule = dc_field(default_factory=LambdaSchedule)
     weights: LossWeights = dc_field(default_factory=LossWeights)
     optimizer: str = "adaptive-moments"
-    seed: int = 0
     window_cells: int = 59
     se_radius: float = 3.0
     # epochs at which the step size halves; adaptive-moments hovers at
@@ -113,7 +112,7 @@ def fit_offsets(pairs, cfg: FitConfig, grid: GroundGrid | None = None,
 
     Returns one FitResult per pair with the per-epoch loss trace.
     Raises Divergence if any loss becomes non-finite. Pairs are
-    independent; `workers` > 1 fits them in a thread pool with
+    independent; `workers` > 1 fits them in a process pool with
     bit-identical results (no shared state between pairs).
     """
     pairs = list(pairs)

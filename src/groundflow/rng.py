@@ -7,7 +7,8 @@ results are independent of evaluation order, platform and worker count.
 
 uniform() maps the top 53 bits to (0, 1) as (k + 0.5) * 2^-53, which
 never returns an exact 0 or 1; normal() is Box-Muller over two
-sub-streams; poisson() inverts the CDF (intended for small rates).
+sub-streams; poisson() inverts the CDF and rejects rates above
+POISSON_MAX_RATE, where exp(-rate) nears the float64 underflow.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import math
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+POISSON_MAX_RATE = 700.0
 
 
 def _mix(x: int) -> int:
@@ -45,7 +47,9 @@ def normal(seed: int, *ids: int) -> float:
 
 
 def poisson(lam: float, seed: int, *ids: int) -> int:
-    """Poisson draw by CDF inversion; exact for the small rates used here."""
+    """Poisson draw by CDF inversion for rates up to POISSON_MAX_RATE."""
+    if lam > POISSON_MAX_RATE:
+        raise ValueError(f"poisson rate {lam} exceeds {POISSON_MAX_RATE}")
     if lam <= 0:
         return 0
     u = uniform(seed, *ids)

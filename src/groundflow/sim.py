@@ -61,6 +61,8 @@ class SceneConfig:
             raise ConfigError("miss_rate must lie in [0, 1)")
         if self.fp_rate_per_frame < 0 or self.jitter_sigma_cells < 0:
             raise ConfigError("noise rates must be nonnegative")
+        if self.fp_rate_per_frame > rng.POISSON_MAX_RATE:
+            raise ConfigError(f"fp_rate_per_frame must be <= {rng.POISSON_MAX_RATE}")
         if not (self.gaussian_sigma_cells > 0):
             raise ConfigError("gaussian_sigma_cells must be positive")
         if self.gaussian_radius_cells < self.gaussian_sigma_cells:

@@ -2,22 +2,29 @@
 baselines (greedy nearest, Hungarian bipartite, constant-velocity
 Kalman, and two-stage ground-plane-IoU association).
 
-The flow network splits every detection into a pre/post node pair
-joined by a unit-capacity observation arc whose negative cost rewards
-confident detections; source->pre and post->sink arcs charge entry and
-exit, and post->pre transition arcs carry the motion-aware cost. The
-solver augments unit flow along successive shortest source->sink paths
-while their cost stays negative, which yields the global minimum over
-any number of tracks.
+The flow tracker scores every detection with entry, observation and
+exit costs (the observation cost is negative and rewards confident
+detections) and joins detections up to `max_gap` frames apart by
+motion-aware transition costs. In this time-ordered graph a set of
+vertex-disjoint tracks is a bipartite matching of detections as
+predecessors to detections as successors (the path-cover view of
+network-flow tracking), so the global minimum over any number of
+tracks is one sparse assignment, solved by scipy's LAPJVsp
+(`min_weight_full_bipartite_matching`).
+
+Among equal-cost optima the result is whichever one LAPJVsp returns for
+the sparse matrix built in detection order: deterministic, but not
+necessarily the optimum a successive-shortest-paths solver would pick.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .core import Detection, OffsetField, Trajectory
 from .errors import InstanceTooLarge, NonSpdCovariance
@@ -76,7 +83,8 @@ def edge_cost(i_pos, j_pos, t1: int, t2: int, delta_bwd_at_j, p: EdgeCostParams)
 
 @dataclass
 class TrackingGraph:
-    """Node-split detection graph with all unit capacities."""
+    """Detections with their entry/observation/exit costs and
+    transition arcs."""
 
     detections: tuple
     entry: np.ndarray
@@ -84,36 +92,6 @@ class TrackingGraph:
     obs: np.ndarray
     trans: dict          # (i, j) -> cost, with time_i < time_j
     params: EdgeCostParams
-
-    @property
-    def num_entry_arcs(self) -> int:
-        return len(self.detections)
-
-    @property
-    def num_exit_arcs(self) -> int:
-        return len(self.detections)
-
-    @property
-    def num_observation_arcs(self) -> int:
-        return len(self.detections)
-
-    @property
-    def num_transition_arcs(self) -> int:
-        return len(self.trans)
-
-    def dump_edges(self) -> str:
-        """Debug edge list: ``src,dst,cost,capacity`` (node-split ids)."""
-        n = len(self.detections)
-        pre = lambda i: 2 + 2 * i
-        post = lambda i: 3 + 2 * i
-        lines = []
-        for i in range(n):
-            lines.append(f"0,{pre(i)},{self.entry[i]!r},1")
-            lines.append(f"{pre(i)},{post(i)},{self.obs[i]!r},1")
-            lines.append(f"{post(i)},1,{self.exit[i]!r},1")
-        for (i, j) in sorted(self.trans):
-            lines.append(f"{post(i)},{pre(j)},{self.trans[(i, j)]!r},1")
-        return "\n".join(lines) + "\n"
 
 
 def _flatten(detections) -> list[Detection]:
@@ -125,7 +103,7 @@ def _flatten(detections) -> list[Detection]:
 
 
 def build_graph(detections, bwd_fields, p: EdgeCostParams) -> TrackingGraph:
-    """Build the flow network over detections.
+    """Build the tracking graph over detections.
 
     `detections` is a flat list or per-frame lists; `bwd_fields` maps
     pair index k (frames k -> k+1) to the fitted backward field, or is
@@ -182,158 +160,42 @@ def _tracks_to_trajectories(g: TrackingGraph, tracks: list[list[int]]) -> list[T
     return out
 
 
-class _FlowNet:
-    """Residual-graph bookkeeping for the SSP solver."""
-
-    SOURCE = 0
-    SINK = 1
-
-    def __init__(self, g: TrackingGraph):
-        n = len(g.detections)
-        self.n_dets = n
-        self.n_nodes = 2 + 2 * n
-        self.tail: list[int] = []
-        self.head: list[int] = []
-        self.cost: list[float] = []
-        self.kind: list[str] = []
-        self.ref: list[int | tuple] = []
-        for i in range(n):
-            self._add(self.SOURCE, 2 + 2 * i, float(g.entry[i]), "entry", i)
-            self._add(2 + 2 * i, 3 + 2 * i, float(g.obs[i]), "obs", i)
-            self._add(3 + 2 * i, self.SINK, float(g.exit[i]), "exit", i)
-        for (i, j), c in g.trans.items():
-            self._add(3 + 2 * i, 2 + 2 * j, float(c), "trans", (i, j))
-        self.flow = [0] * len(self.tail)
-        self.out: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        self.into: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for a, (u, v) in enumerate(zip(self.tail, self.head)):
-            self.out[u].append(a)
-            self.into[v].append(a)
-
-    def _add(self, u, v, c, kind, ref):
-        self.tail.append(u)
-        self.head.append(v)
-        self.cost.append(c)
-        self.kind.append(kind)
-        self.ref.append(ref)
-
-    def topological_order(self, g: TrackingGraph) -> list[int]:
-        order = [self.SOURCE]
-        for i in range(self.n_dets):  # detections are time-sorted
-            order.append(2 + 2 * i)
-            order.append(3 + 2 * i)
-        order.append(self.SINK)
-        return order
-
-
-def _initial_potentials(net: _FlowNet, g: TrackingGraph) -> list[float]:
-    """One relaxation sweep in topological order; handles negative arcs."""
-    dist = [math.inf] * net.n_nodes
-    dist[net.SOURCE] = 0.0
-    for u in net.topological_order(g):
-        if dist[u] == math.inf:
-            continue
-        for a in net.out[u]:
-            v = net.head[a]
-            nd = dist[u] + net.cost[a]
-            if nd < dist[v]:
-                dist[v] = nd
-    return dist
-
-
-def _dijkstra(net: _FlowNet, pi: list[float]):
-    """Shortest residual path under reduced costs; tiny negative reduced
-    costs from float rounding are clamped to zero."""
-    dist = [math.inf] * net.n_nodes
-    parent: list[tuple[int, bool] | None] = [None] * net.n_nodes
-    dist[net.SOURCE] = 0.0
-    heap = [(0.0, net.SOURCE)]
-    done = [False] * net.n_nodes
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u] or d > dist[u]:
-            continue
-        done[u] = True
-        for a in net.out[u]:
-            if net.flow[a]:
-                continue
-            v = net.head[a]
-            rc = net.cost[a] + pi[u] - pi[v]
-            if rc < 0.0:
-                rc = 0.0
-            nd = d + rc
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = (a, True)
-                heapq.heappush(heap, (nd, v))
-        for a in net.into[u]:
-            if not net.flow[a]:
-                continue
-            v = net.tail[a]
-            rc = -net.cost[a] + pi[u] - pi[v]
-            if rc < 0.0:
-                rc = 0.0
-            nd = d + rc
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = (a, False)
-                heapq.heappush(heap, (nd, v))
-    return dist, parent
-
-
-def _extract_tracks(net: _FlowNet) -> list[list[int]]:
-    succ_of_post: dict[int, int] = {}
-    exits: set[int] = set()
-    starts: list[int] = []
-    for a, fl in enumerate(net.flow):
-        if not fl:
-            continue
-        kind = net.kind[a]
-        if kind == "entry":
-            starts.append(net.ref[a])
-        elif kind == "trans":
-            i, j = net.ref[a]
-            succ_of_post[i] = j
-        elif kind == "exit":
-            exits.add(net.ref[a])
-    tracks = []
-    for s in sorted(starts):
-        track = [s]
-        cur = s
-        while cur not in exits:
-            cur = succ_of_post[cur]
-            track.append(cur)
-        tracks.append(track)
-    return tracks
-
-
 def solve_ssp_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
-    """Run successive shortest paths; returns (index tracks, canonical cost)."""
-    if not g.detections:
+    """Minimum-cost path cover; returns (index tracks, canonical cost).
+
+    Rows are detections as predecessors. Column j < n is detection j as
+    a successor and column n + i is row i's exit. Counting every
+    detection first as a one-point track (entry + obs + exit), a link
+    i -> j changes the cost by trans - exit_i - entry_j, and row i on its
+    own column leaves detection i unused (-(entry + obs + exit)). Every
+    row is matched once, so one constant shift that makes all weights
+    positive leaves the optimum unchanged. LAPJVsp solves the sparse
+    assignment by shortest augmenting paths.
+    """
+    n = len(g.detections)
+    if n == 0:
         return [], 0.0
-    net = _FlowNet(g)
-    dist0 = _initial_potentials(net, g)
-    pi = list(dist0)
-    while True:
-        dist, parent = _dijkstra(net, pi)
-        if dist[net.SINK] == math.inf:
-            break
-        true_cost = dist[net.SINK] + pi[net.SINK] - pi[net.SOURCE]
-        if true_cost >= -1e-12:
-            break
-        v = net.SINK
-        while v != net.SOURCE:
-            a, forward = parent[v]
-            if forward:
-                net.flow[a] = 1
-                v = net.tail[a]
-            else:
-                net.flow[a] = 0
-                v = net.head[a]
-        d_sink = dist[net.SINK]
-        for u in range(net.n_nodes):
-            pi[u] += min(dist[u], d_sink)
-    tracks = _extract_tracks(net)
+    ar = np.arange(n)
+    heads, tails = np.array(list(g.trans), dtype=np.int64).reshape(-1, 2).T
+    link = np.fromiter(g.trans.values(), dtype=np.float64, count=len(g.trans))
+    wts = np.concatenate([link - g.exit[heads] - g.entry[tails],
+                          -(g.entry + g.obs + g.exit), np.zeros(n)])
+    mat = coo_matrix((wts + (1.0 - wts.min()),
+                      (np.concatenate([heads, ar, ar]), np.concatenate([tails, ar, n + ar]))),
+                     shape=(n, 2 * n)).tocsr()
+    rows, cols = min_weight_full_bipartite_matching(mat)
+    succ = np.empty(n, dtype=np.int64)
+    succ[rows] = cols
+    # a detection whose column no row took (its own row would mean
+    # unused) has no predecessor and starts a track
+    taken = np.zeros(n, dtype=bool)
+    taken[cols[cols < n]] = True
+    tracks = []
+    for start in np.flatnonzero(~taken):
+        track = [int(start)]
+        while succ[track[-1]] < n:
+            track.append(int(succ[track[-1]]))
+        tracks.append(track)
     return tracks, cover_cost(g, tracks)
 
 

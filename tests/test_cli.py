@@ -46,9 +46,10 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        p.write_text("scene.widht = 32\n")
-        rc = _run("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
-        assert rc == 2
+        for line in ("scene.widht = 32\n", "recon.lambda_r = 1.0\n"):
+            p.write_text(line)
+            rc = _run("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
+            assert rc == 2, line
 
     def test_strides_must_be_sorted(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -67,6 +68,12 @@ class TestSimulate:
         w, h, channels = io.load_maps(out / "gt_heatmaps.bin")
         assert (w, h) == (28, 28)
         assert len(channels) == 6
+
+    def test_fp_rate_beyond_poisson_limit_is_config_error(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_text("scene.fp_rate = 746\n")
+        rc = _run("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert rc == 2
 
     def test_zero_agents_is_config_error(self, tmp_path):
         p = tmp_path / "bad.cfg"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from groundflow import rng
 from groundflow.core import GroundGrid
 from groundflow.errors import ConfigError, OutOfBoundsPoint
 from groundflow.sim import (
@@ -33,6 +34,16 @@ class TestSceneConfig:
             _cfg(gaussian_radius_cells=0.5)  # below sigma
         with pytest.raises(ConfigError):
             _cfg(grid=GroundGrid(4, 4), speed_cells=(2.0, 2.0))  # too small to reflect
+        with pytest.raises(ConfigError):
+            _cfg(fp_rate_per_frame=746.0)  # beyond rng.POISSON_MAX_RATE
+
+
+class TestPoisson:
+    def test_rate_limit(self):
+        assert abs(rng.poisson(rng.POISSON_MAX_RATE, 0, 1) - 700) < 200
+        # exp(-746) underflows to 0, so CDF inversion would return its loop cap
+        with pytest.raises(ValueError):
+            rng.poisson(746.0, 0, 1)
 
 
 class TestGenerateScene:
