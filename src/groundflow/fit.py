@@ -8,8 +8,12 @@ has to discover the motion.
 
 Pairs are independent and fitted one after another; the lambda_r
 schedule advances once per epoch. The fitted fields are clamped
-per-component to the window radius so the sliding-window forward pass
-stays exact.
+per-component to the window radius, which bounds the motion one pair
+can express. The clamp does not make the windowed forward pass exact:
+the warp operator's lambda_r-sized blocks do, since they follow the
+displaced source to any offset. Only while lambda_r is so soft that the
+window caps the block radius (lambda_r < 1.24 at window 21) are weights
+above the warp's EPSILON cut off.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from .losses import (
     schedule_step,
     se_neighborhoods,
 )
-from .warp import ReconstructionConfig, WarpPlan
+from .warp import ReconstructionConfig, WarpPlan, smoothed_target
 
 OPTIMIZERS = ("plain-gradient", "momentum", "adaptive-moments")
 
@@ -38,6 +42,8 @@ class FitConfig:
     schedule: LambdaSchedule = dc_field(default_factory=LambdaSchedule)
     weights: LossWeights = dc_field(default_factory=LossWeights)
     optimizer: str = "adaptive-moments"
+    # caps the warp's block radius; each offset component is clamped to
+    # the window radius (window_cells - 1) / 2
     window_cells: int = 59
     se_radius: float = 3.0
     # epochs at which the step size halves; adaptive-moments hovers at
@@ -148,14 +154,21 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
     clamp = (cfg.window_cells - 1) / 2.0
     schedule = cfg.schedule
     trace = []
+    targets, targets_lambda = None, None
     for epoch in range(cfg.epochs):
         if epoch in cfg.lr_halving_epochs:
             opt.lr *= 0.5
         rcfg = ReconstructionConfig(schedule.current, cfg.window_cells)
+        # the smoothed targets depend on lambda_r only, so once the
+        # schedule sits at its cap they are reused as they are
+        if rcfg.lambda_r != targets_lambda:
+            targets = (smoothed_target(x_t1, rcfg, plan=plan_t1),
+                       smoothed_target(x_t, rcfg, plan=plan_t))
+            targets_lambda = rcfg.lambda_r
         out = loss_total(
             x_t, x_t1, (fdx, fdy), (bdx, bdy), pair.points_t, pair.points_t1,
             rcfg, cfg.weights, cfg.se_radius,
-            plans=(plan_t, plan_t1), hoods=hoods,
+            plans=(plan_t, plan_t1), hoods=hoods, targets=targets,
         )
         if not np.isfinite(out.total):
             raise Divergence(

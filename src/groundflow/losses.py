@@ -256,7 +256,8 @@ class TotalLoss:
 def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
                cfg: ReconstructionConfig, weights: LossWeights, se_radius: float,
                plans: tuple[WarpPlan, WarpPlan] | None = None,
-               hoods: tuple[list, list] | None = None) -> TotalLoss:
+               hoods: tuple[list, list] | None = None,
+               targets: tuple[np.ndarray, np.ndarray] | None = None) -> TotalLoss:
     """Composite loss of a frame pair with gradients wrt both offset fields.
 
     The heatmaps are fixed inputs here (the offset fields are the free
@@ -267,6 +268,9 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
     The spatial-extent term is likewise applied to each field with its
     source frame's points; the forward/backward term couples the two
     fields once, anchored at the forward one.
+
+    `targets` may carry the precomputed smoothed targets of the forward
+    and the backward motion term: (smoothed x_t1, smoothed x_t).
     """
     xt = _values_of(x_t)
     xt1 = _values_of(x_t1)
@@ -284,8 +288,9 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
         )
     hoods_t, hoods_t1 = hoods
 
-    target_fwd = smoothed_target(xt1, cfg, plan=plan_t1)
-    target_bwd = smoothed_target(xt, cfg, plan=plan_t)
+    if targets is None:
+        targets = (smoothed_target(xt1, cfg, plan=plan_t1), smoothed_target(xt, cfg, plan=plan_t))
+    target_fwd, target_bwd = targets
 
     cache_f: dict = {}
     xhat_f = reconstruct_with_plan(plan_t, fdx, fdy, cfg.lambda_r, cache=cache_f)

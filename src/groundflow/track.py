@@ -310,6 +310,21 @@ class KalmanState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @classmethod
+    def _from_filter(cls, mean: np.ndarray, cov: np.ndarray) -> "KalmanState":
+        """A state computed by kalman_predict/kalman_update from a valid one.
+
+        Skips the symmetry and eigenvalue checks: the filter re-symmetrizes
+        the covariance itself, and checking every step dominated the
+        two-stage tracker's time.
+        """
+        state = object.__new__(cls)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        object.__setattr__(state, "mean", mean)
+        object.__setattr__(state, "cov", cov)
+        return state
+
     @property
     def pos(self) -> tuple[float, float]:
         return (float(self.mean[0]), float(self.mean[1]))
@@ -323,7 +338,7 @@ def kalman_predict(s: KalmanState, dt: float, process_noise: float = 0.01) -> Ka
     mean = F @ s.mean
     cov = F @ s.cov @ F.T + process_noise * dt * np.eye(4)
     cov = 0.5 * (cov + cov.T)
-    return KalmanState(mean, cov)
+    return KalmanState._from_filter(mean, cov)
 
 
 def kalman_update(s: KalmanState, pos, meas_noise: float = 0.25) -> KalmanState:
@@ -337,7 +352,7 @@ def kalman_update(s: KalmanState, pos, meas_noise: float = 0.25) -> KalmanState:
     mean = s.mean + K @ (z - H @ s.mean)
     cov = (np.eye(4) - K @ H) @ s.cov
     cov = 0.5 * (cov + cov.T)
-    return KalmanState(mean, cov)
+    return KalmanState._from_filter(mean, cov)
 
 
 @dataclass(frozen=True)

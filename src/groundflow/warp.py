@@ -3,11 +3,15 @@
 A heatmap at time t and a per-cell offset field predict the heatmap at
 time t+1: every output cell j accumulates x_i * W(||j - (i + delta_i)||)
 over source cells i, where W is a logistic weight that decays with
-distance. The production path restricts i to a square window centered
-on j so memory stays independent of grid size; the dense path is the
-O(N^2) oracle used for verification.
+distance. The production path spreads each source over a square block
+of (2R + 1)^2 output cells centred on the cell nearest its displaced
+position i + delta_i. R = block_radius(lambda_r, window_cells) is the
+smallest radius beyond which W < EPSILON, capped by the window radius;
+below the cap the block follows the source to any offset, so the
+windowed pass equals the dense sum up to weights below EPSILON. The
+dense path is the O(N^2) oracle used for verification.
 
-Bit-reproducibility: each output cell accumulates its window's
+Bit-reproducibility: each output cell accumulates its block
 contributions in row-major source order regardless of how the work is
 batched, so results are identical across runs and worker counts.
 Sources with x_i == 0 contribute exactly +0.0 and may be skipped
@@ -33,10 +37,30 @@ logger = logging.getLogger(__name__)
 EXP_CLAMP = 60.0
 _W_SATURATED = 1.0 / (1.0 + math.exp(EXP_CLAMP))
 
+# Weights below EPSILON are left out of the windowed pass: W(l) < EPSILON
+# once 4 * lambda_r * l - 10 exceeds ln(1 / EPSILON).
+EPSILON = 1e-15
+_REACH_EXPONENT = 10.0 + math.log(1.0 / EPSILON)
+
+
+def _uncapped_radius(lambda_r: float) -> int:
+    """Block radius at which every cell left out weighs less than EPSILON.
+
+    A block centre is within 1/2 of the displaced source per component,
+    so a cell outside a radius-R block lies at least R + 1/2 away.
+    """
+    return math.ceil(_REACH_EXPONENT / (4.0 * lambda_r)) + 1
+
+
+def block_radius(lambda_r: float, window_cells: int) -> int:
+    """R(lambda_r): the radius of each source's block, capped by the window."""
+    return min((int(window_cells) - 1) // 2, _uncapped_radius(lambda_r))
+
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Decay speed and sliding-window size of the reconstruction operator."""
+    """Decay speed of the reconstruction operator and the window that caps
+    its block radius (see block_radius)."""
 
     lambda_r: float
     window_cells: int = 59
@@ -76,11 +100,12 @@ def _weights_from_l(l: np.ndarray, lambda_r: float) -> np.ndarray:
 
     Distances at or beyond the exponent clamp evaluate to the saturated
     constant; a slightly padded cutoff plus an explicit clip keeps the
-    masked shortcut bitwise identical to clipping everywhere.
+    masked shortcut bitwise identical to clipping everywhere. A NaN
+    distance gives a NaN weight.
     """
     lam4 = 4.0 * lambda_r
     cut = 70.0 / lam4 + 1e-9
-    near = l < cut
+    near = ~(l >= cut)
     n_near = int(np.count_nonzero(near))
     if n_near == l.size:
         t = l * lam4
@@ -116,12 +141,12 @@ def _offsets_of(delta) -> tuple[np.ndarray, np.ndarray]:
 
 
 class WarpPlan:
-    """Precomputed scatter layout for one heatmap and window size.
+    """The nonzero source cells of one heatmap, in row-major order, and the
+    window that caps every block's radius.
 
-    Holds the nonzero source cells in row-major order plus the flat
-    indices of each source's output block in a zero-padded output
-    buffer. Building a plan is the only O(S * K^2) integer work, so
-    callers fitting the same heatmap repeatedly should reuse it.
+    The block layout depends on the offsets and on lambda_r, so each pass
+    computes its own (see _block_distances); a plan only saves finding the
+    sources again when the same heatmap is warped repeatedly.
     """
 
     def __init__(self, values: np.ndarray, window_cells: int):
@@ -130,68 +155,96 @@ class WarpPlan:
             raise DimensionMismatch("heatmap must be 2-dimensional")
         self.h, self.w = values.shape
         self.window = int(window_cells)
-        self.r = (self.window - 1) // 2
         ys, xs = np.nonzero(values)
         self.ys = ys
         self.xs = xs
         self.vals = values[ys, xs]
-        k = self.window
-        self.hp = self.h + 2 * self.r
-        self.wp = self.w + 2 * self.r
-        off = np.arange(k, dtype=np.int64) - self.r
-        # j coordinates covered by each source's block, as float64
-        self.jx = (xs[:, None] + off[None, :]).astype(np.float64)
-        self.jy = (ys[:, None] + off[None, :]).astype(np.float64)
-        # flat padded indices: block of source s starts at (ys, xs) in padded coords
-        base = ys.astype(np.int64) * self.wp + xs.astype(np.int64)
-        rel = off[:, None] * self.wp + off[None, :] + (self.r * self.wp + self.r)
-        self.idx = (base[:, None, None] + rel[None, :, :]).ravel()
 
     @property
     def num_sources(self) -> int:
         return self.vals.size
 
 
-def _block_distances(plan: WarpPlan, dx: np.ndarray, dy: np.ndarray):
-    """Per-source displaced centers; returns (dxb, dyb, l) with l the
-    (S, K, K) Euclidean distances (computed in place of d^2)."""
-    cx = plan.xs + dx[plan.ys, plan.xs]
-    cy = plan.ys + dy[plan.ys, plan.xs]
-    dxb = plan.jx - cx[:, None]  # (S, K)
-    dyb = plan.jy - cy[:, None]
+def _flat_blocks(by: np.ndarray, bx: np.ndarray, r: int, w: int) -> tuple[np.ndarray, int]:
+    """Flat indices of the radius-r blocks centred on (by, bx), in a grid of
+    width w padded by 2r + 1 cells on every side; returns (idx, pad)."""
+    pad = 2 * r + 1
+    wp = w + 2 * pad
+    off = np.arange(-r, r + 1, dtype=np.int64)
+    rel = off[:, None] * wp + off[None, :]
+    idx = ((by + pad) * wp + (bx + pad))[:, None, None] + rel[None, :, :]
+    return idx.ravel(), pad
+
+
+def _block_distances(ys: np.ndarray, xs: np.ndarray, dx: np.ndarray, dy: np.ndarray, r: int):
+    """Radius-r blocks of the sources (ys, xs) displaced by the offset field.
+
+    Each block is centred on the cell nearest the displaced source, clipped
+    to within r + 1 cells of the grid: a clipped block lies wholly in the
+    padding, where the source's weights are below EPSILON anyway, and the
+    padding stays bounded for any offset. A non-finite offset keeps its
+    block on the source and makes its distances NaN, so the output is NaN
+    there. Returns (idx, pad, dxb, dyb, l): flat padded indices (see
+    _flat_blocks), the (S, K) coordinate differences j - c per axis and
+    the (S, K, K) distances.
+    """
+    h, w = dx.shape
+    cx = xs + dx[ys, xs]
+    cy = ys + dy[ys, xs]
+    bx = np.clip(np.rint(cx), -(r + 1), w + r)
+    by = np.clip(np.rint(cy), -(r + 1), h + r)
+    bad = ~(np.isfinite(cx) & np.isfinite(cy))
+    if bad.any():
+        bx[bad] = xs[bad]
+        by[bad] = ys[bad]
+        cx[bad] = np.nan
+        cy[bad] = np.nan
+    bx = bx.astype(np.int64)
+    by = by.astype(np.int64)
+    off = np.arange(-r, r + 1, dtype=np.int64)
+    dxb = (bx[:, None] + off[None, :]).astype(np.float64) - cx[:, None]  # (S, K)
+    dyb = (by[:, None] + off[None, :]).astype(np.float64) - cy[:, None]
     d2 = (dxb * dxb)[:, None, :] + (dyb * dyb)[:, :, None]  # (S, K, K)
     l = np.sqrt(d2, out=d2)
-    return dxb, dyb, l
+    idx, pad = _flat_blocks(by, bx, r, w)
+    return idx, pad, dxb, dyb, l
 
 
-def _scatter(plan: WarpPlan, contrib: np.ndarray) -> np.ndarray:
-    padded = np.bincount(plan.idx, weights=contrib.ravel(), minlength=plan.hp * plan.wp)
-    out = padded.reshape(plan.hp, plan.wp)[plan.r:plan.r + plan.h, plan.r:plan.r + plan.w]
-    return np.ascontiguousarray(out)
+def _scatter(h: int, w: int, pad: int, idx: np.ndarray, contrib: np.ndarray) -> np.ndarray:
+    hp, wp = h + 2 * pad, w + 2 * pad
+    padded = np.bincount(idx, weights=contrib.ravel(), minlength=hp * wp)
+    return np.ascontiguousarray(padded.reshape(hp, wp)[pad:pad + h, pad:pad + w])
+
+
+def _padded_flat(a: np.ndarray, pad: int) -> np.ndarray:
+    h, w = a.shape
+    out = np.zeros((h + 2 * pad, w + 2 * pad))
+    out[pad:pad + h, pad:pad + w] = a
+    return out.ravel()
 
 
 def reconstruct_with_plan(plan: WarpPlan, dx: np.ndarray, dy: np.ndarray,
                           lambda_r: float, cache: dict | None = None) -> np.ndarray:
     """Windowed forward pass using a prebuilt plan; returns an (h, w) array.
 
-    If `cache` is a dict, the per-source distance and weight blocks are
+    If `cache` is a dict, the block layout, distances and weights are
     stored in it for reuse by the backward pass.
     """
     if plan.num_sources == 0:
         return np.zeros((plan.h, plan.w))
-    dxb, dyb, l = _block_distances(plan, dx, dy)
+    idx, pad, dxb, dyb, l = _block_distances(plan.ys, plan.xs, dx, dy,
+                                             block_radius(lambda_r, plan.window))
     wb = _weights_from_l(l, lambda_r)
     contrib = plan.vals[:, None, None] * wb
     if cache is not None:
-        cache.update(dxb=dxb, dyb=dyb, l=l, wb=wb, lambda_r=lambda_r)
-    return _scatter(plan, contrib)
+        cache.update(idx=idx, pad=pad, dxb=dxb, dyb=dyb, l=l, wb=wb, lambda_r=lambda_r)
+    return _scatter(plan.h, plan.w, pad, idx, contrib)
 
 
 @lru_cache(maxsize=256)
-def _zero_offset_kernel(lambda_r: float, window_cells: int) -> np.ndarray:
-    """The (K, K) weight block shared by all sources when offsets are zero."""
-    r = (window_cells - 1) // 2
-    off = (np.arange(window_cells, dtype=np.int64) - r).astype(np.float64)
+def _zero_offset_kernel(lambda_r: float, r: int) -> np.ndarray:
+    """The (2r+1, 2r+1) weight block shared by all sources when offsets are zero."""
+    off = np.arange(-r, r + 1, dtype=np.int64).astype(np.float64)
     d2 = (off * off)[None, :] + (off * off)[:, None]
     l = np.sqrt(d2, out=d2)
     kernel = _weights_from_l(l, lambda_r)
@@ -203,14 +256,16 @@ def reconstruct_zero_offset(plan: WarpPlan, lambda_r: float) -> np.ndarray:
     """Forward pass with identically zero offsets (shared radial kernel).
 
     Bitwise identical to reconstruct_with_plan with zero offset arrays:
-    with delta = 0 every source's weight block is the same function of
-    the integer window offsets.
+    with delta = 0 every block is centred on its source and its weights
+    are the same function of the integer block offsets.
     """
     if plan.num_sources == 0:
         return np.zeros((plan.h, plan.w))
-    kernel = _zero_offset_kernel(float(lambda_r), plan.window)
+    r = block_radius(lambda_r, plan.window)
+    kernel = _zero_offset_kernel(float(lambda_r), r)
+    idx, pad = _flat_blocks(plan.ys, plan.xs, r, plan.w)
     contrib = plan.vals[:, None, None] * kernel[None, :, :]
-    return _scatter(plan, contrib)
+    return _scatter(plan.h, plan.w, pad, idx, contrib)
 
 
 def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float,
@@ -228,16 +283,16 @@ def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float
     if plan.num_sources == 0:
         return g_dx, g_dy
     if cache is not None and "l" in cache and cache.get("lambda_r") == lambda_r:
+        idx, pad = cache["idx"], cache["pad"]
         dxb, dyb, l, wb = cache["dxb"], cache["dyb"], cache["l"], cache["wb"]
     else:
         if dx is None or dy is None:
             raise ValueError("need either a forward cache or the offset arrays")
-        dxb, dyb, l = _block_distances(plan, dx, dy)
+        idx, pad, dxb, dyb, l = _block_distances(plan.ys, plan.xs, dx, dy,
+                                                 block_radius(lambda_r, plan.window))
         wb = _weights_from_l(l, lambda_r)
 
-    up_pad = np.zeros((plan.hp, plan.wp))
-    up_pad[plan.r:plan.r + plan.h, plan.r:plan.r + plan.w] = upstream
-    upb = up_pad.ravel()[plan.idx].reshape(wb.shape)
+    upb = _padded_flat(upstream, pad)[idx].reshape(wb.shape)
 
     inv_l = np.zeros_like(l)
     np.divide(1.0, l, out=inv_l, where=l >= 1e-8)
@@ -256,36 +311,18 @@ def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float
 def _grad_heatmap_full(values: np.ndarray, dx: np.ndarray, dy: np.ndarray,
                        upstream: np.ndarray, cfg: ReconstructionConfig,
                        chunk: int = 2048) -> np.ndarray:
-    """d(loss)/d(x_i) for every cell i: sum_j upstream_j * W(l_ij)."""
+    """d(loss)/d(x_i) for every cell i: sum_j upstream_j * W(l_ij) over the
+    block the forward pass gives cell i."""
     h, w = values.shape
-    r = cfg.window_radius
-    k = cfg.window_cells
-    hp, wp = h + 2 * r, w + 2 * r
-    up_pad = np.zeros((hp, wp))
-    up_pad[r:r + h, r:r + w] = upstream
-    up_flat = up_pad.ravel()
-
+    r = block_radius(cfg.lambda_r, cfg.window_cells)
+    up_flat = _padded_flat(upstream, 2 * r + 1)
     out = np.empty(h * w)
     ys_all, xs_all = np.divmod(np.arange(h * w, dtype=np.int64), w)
-    off = np.arange(k, dtype=np.int64) - r
-    rel = off[:, None] * wp + off[None, :] + (r * wp + r)
-    dxf = dx.ravel()
-    dyf = dy.ravel()
     for s0 in range(0, h * w, chunk):
         s1 = min(s0 + chunk, h * w)
-        ys = ys_all[s0:s1]
-        xs = xs_all[s0:s1]
-        cx = xs + dxf[s0:s1]
-        cy = ys + dyf[s0:s1]
-        jx = (xs[:, None] + off[None, :]).astype(np.float64)
-        jy = (ys[:, None] + off[None, :]).astype(np.float64)
-        dxb = jx - cx[:, None]
-        dyb = jy - cy[:, None]
-        d2 = (dxb * dxb)[:, None, :] + (dyb * dyb)[:, :, None]
-        l = np.sqrt(d2, out=d2)
+        idx, _, _, _, l = _block_distances(ys_all[s0:s1], xs_all[s0:s1], dx, dy, r)
         wb = _weights_from_l(l, cfg.lambda_r)
-        idx = (ys * wp + xs)[:, None, None] + rel[None, :, :]
-        upb = up_flat[idx.ravel()].reshape(wb.shape)
+        upb = up_flat[idx].reshape(wb.shape)
         out[s0:s1] = np.einsum("sab,sab->s", upb, wb)
     return out.reshape(h, w)
 
@@ -300,12 +337,13 @@ def _check_shapes(values, dx, dy, upstream=None):
 
 
 def reconstruct(X, delta, cfg: ReconstructionConfig) -> np.ndarray:
-    """Sliding-window reconstruction: warp heatmap X by the offset field.
+    """Windowed reconstruction: warp heatmap X by the offset field.
 
     Output values may exceed 1 (overlapping contributions superpose); the
     loss compares against targets smoothed by the same operator, so no
-    clamping is applied. Offsets longer than the window radius are
-    reported as a warning because their mass cannot reach its target.
+    clamping is applied. When the window caps the block radius below what
+    lambda_r needs, weights above EPSILON are cut off; that is reported
+    as a warning.
     """
     values = _values_of(X)
     dx, dy = _offsets_of(delta)
@@ -313,11 +351,11 @@ def reconstruct(X, delta, cfg: ReconstructionConfig) -> np.ndarray:
     max_dx = float(np.max(np.abs(dx))) if dx.size else 0.0
     max_dy = float(np.max(np.abs(dy))) if dy.size else 0.0
     logger.debug("reconstruct: max |dx| = %.3f, max |dy| = %.3f", max_dx, max_dy)
-    norms2 = dx * dx + dy * dy
-    if norms2.size and float(norms2.max()) > cfg.window_radius ** 2:
+    needed = _uncapped_radius(cfg.lambda_r)
+    if needed > cfg.window_radius:
         warnings.warn(
-            f"offset norm {math.sqrt(float(norms2.max())):.2f} exceeds the window radius "
-            f"{cfg.window_radius}; motion beyond it is truncated",
+            f"lambda_r {cfg.lambda_r:g} needs a block radius of {needed} cells but the "
+            f"window caps it at {cfg.window_radius}; weights above {EPSILON:g} are cut off",
             RuntimeWarning,
             stacklevel=2,
         )

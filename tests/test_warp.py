@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,11 +132,23 @@ class TestReconstructWindowed:
         rhs = a * reconstruct(x1, delta, cfg) + b * reconstruct(x2, delta, cfg)
         assert np.abs(lhs - rhs).max() < 1e-9
 
-    def test_warns_on_oversized_offsets(self):
+    def test_warns_when_window_caps_block_radius(self):
+        # lambda 0.16 needs a radius of 71 cells; window 21 caps it at 10
+        X = _peak(16, 16, 8, 8)
+        zeros = np.zeros((16, 16))
+        with pytest.warns(RuntimeWarning, match="caps"):
+            reconstruct(X, (zeros, zeros), ReconstructionConfig(0.16, 21))
+
+    def test_offsets_beyond_window_radius_stay_exact(self):
+        # lambda 5 needs a radius of 4 cells, which window 9 allows; the
+        # block follows the source 9 cells out, past the window radius
         X = _peak(16, 16, 8, 8)
         big = np.full((16, 16), 9.0)
-        with pytest.warns(RuntimeWarning):
-            reconstruct(X, (big, big), ReconstructionConfig(5.0, 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            win = reconstruct(X, (big, big), ReconstructionConfig(5.0, 9))
+        dense = reconstruct_dense(X, (big, big), 5.0)
+        assert np.abs(win - dense).max() < 1e-10
 
     def test_accepts_heatmap_objects(self):
         g = GroundGrid(8, 8)
