@@ -16,6 +16,7 @@ Each term has an exact analytic gradient; the gradient versions return
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,13 +93,10 @@ def loss_mot(X_hat, X_gt, cfg: ReconstructionConfig, target: np.ndarray | None =
     return float((d * d).sum())
 
 
-def bilinear_sample(arr: np.ndarray, px: np.ndarray, py: np.ndarray):
-    """Bilinear interpolation of `arr` at continuous points, border-clamped.
-
-    Returns (values, d/dpx, d/dpy, corner scatter info). Spatial
-    derivatives are zero along any axis where the point was clamped.
-    """
-    h, w = arr.shape
+def _bilinear_corners(shape, px: np.ndarray, py: np.ndarray):
+    """Corner cells (x0, x1, y0, y1), fractions (fx, fy) and in-grid masks
+    (inside_x, inside_y) of bilinear sampling at border-clamped points."""
+    h, w = shape
     cx = np.clip(px, 0.0, float(w - 1))
     cy = np.clip(py, 0.0, float(h - 1))
     inside_x = (px >= 0.0) & (px <= w - 1)
@@ -111,34 +109,27 @@ def bilinear_sample(arr: np.ndarray, px: np.ndarray, py: np.ndarray):
         y0 = np.minimum(y0, h - 2)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = cx - x0
-    fy = cy - y0
-    v00 = arr[y0, x0]
-    v10 = arr[y0, x1]
-    v01 = arr[y1, x0]
-    v11 = arr[y1, x1]
+    return x0, x1, y0, y1, cx - x0, cy - y0, inside_x, inside_y
+
+
+def bilinear_sample(arr: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of `arr` at continuous points, border-clamped."""
+    x0, x1, y0, y1, fx, fy, _, _ = _bilinear_corners(arr.shape, px, py)
+    v00, v10, v01, v11 = arr[y0, x0], arr[y0, x1], arr[y1, x0], arr[y1, x1]
     top = v00 + fx * (v10 - v00)
     bot = v01 + fx * (v11 - v01)
-    val = top + fy * (bot - top)
-    dvx = ((1.0 - fy) * (v10 - v00) + fy * (v11 - v01)) * inside_x
-    dvy = (bot - top) * inside_y
-    corners = (x0, x1, y0, y1, fx, fy)
-    return val, dvx, dvy, corners
+    return top + fy * (bot - top)
 
 
-def _scatter_corners(shape, corners, weighted: np.ndarray) -> np.ndarray:
-    """Accumulate per-point values onto the four bilinear corner cells."""
-    h, w = shape
-    x0, x1, y0, y1, fx, fy = corners
-    out = np.zeros(h * w)
-    for xi, yi, wgt in (
-        (x0, y0, (1.0 - fx) * (1.0 - fy)),
-        (x1, y0, fx * (1.0 - fy)),
-        (x0, y1, (1.0 - fx) * fy),
-        (x1, y1, fx * fy),
-    ):
-        out += np.bincount(yi * w + xi, weights=weighted * wgt, minlength=h * w)
-    return out.reshape(h, w)
+@lru_cache(maxsize=8)
+def _cell_mesh(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat x and y coordinates of every cell of an h x w grid (read-only)."""
+    yy, xx = np.mgrid[0:h, 0:w]
+    xx = xx.ravel()
+    yy = yy.ravel()
+    xx.setflags(write=False)
+    yy.setflags(write=False)
+    return xx, yy
 
 
 def loss_fb(delta_fwd, delta_bwd) -> float:
@@ -149,25 +140,43 @@ def loss_fb_grad(delta_fwd, delta_bwd):
     """Forward/backward consistency with gradients for both fields.
 
     value = sum_i || dfwd(i) + sample(dbwd, i + dfwd(i)) ||^2 with the
-    backward field sampled bilinearly at the displaced point.
+    backward field sampled bilinearly at the displaced point (border-
+    clamped). Both backward components share one corner computation.
     """
     fdx, fdy = _offsets_of(delta_fwd)
     bdx, bdy = _offsets_of(delta_bwd)
     _same_shape(fdx, bdx, "forward/backward loss")
     h, w = fdx.shape
-    yy, xx = np.mgrid[0:h, 0:w]
-    px = (xx + fdx).ravel()
-    py = (yy + fdy).ravel()
-    sx, dsx_dx, dsx_dy, corners = bilinear_sample(bdx, px, py)
-    sy, dsy_dx, dsy_dy, _ = bilinear_sample(bdy, px, py)
+    xx, yy = _cell_mesh(h, w)
+    x0, x1, y0, y1, fx, fy, inside_x, inside_y = _bilinear_corners(
+        (h, w), xx + fdx.ravel(), yy + fdy.ravel())
+    corners = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    samples = []
+    for b in (bdx.ravel(), bdy.ravel()):
+        v00, v10, v01, v11 = (b.take(c) for c in corners)
+        top = v00 + fx * (v10 - v00)
+        bot = v01 + fx * (v11 - v01)
+        # value and its derivatives, zero along an axis where the point was clamped
+        samples.append((top + fy * (bot - top),
+                        (gy * (v10 - v00) + fy * (v11 - v01)) * inside_x,
+                        (bot - top) * inside_y))
+    (sx, dsx_dx, dsx_dy), (sy, dsy_dx, dsy_dy) = samples
     rx = fdx.ravel() + sx
     ry = fdy.ravel() + sy
     value = float((rx * rx + ry * ry).sum())
     g_fdx = (2.0 * rx * (1.0 + dsx_dx) + 2.0 * ry * dsy_dx).reshape(h, w)
     g_fdy = (2.0 * rx * dsx_dy + 2.0 * ry * (1.0 + dsy_dy)).reshape(h, w)
-    g_bdx = _scatter_corners((h, w), corners, 2.0 * rx)
-    g_bdy = _scatter_corners((h, w), corners, 2.0 * ry)
-    return value, g_fdx, g_fdy, g_bdx, g_bdy
+    # scatter 2r onto the four corner cells, corner by corner
+    g_bdx = np.zeros(h * w)
+    g_bdy = np.zeros(h * w)
+    rx2 = 2.0 * rx
+    ry2 = 2.0 * ry
+    for c, wgt in zip(corners, (gx * gy, fx * gy, gx * fy, fx * fy)):
+        g_bdx += np.bincount(c, weights=rx2 * wgt, minlength=h * w)
+        g_bdy += np.bincount(c, weights=ry2 * wgt, minlength=h * w)
+    return value, g_fdx, g_fdy, g_bdx.reshape(h, w), g_bdy.reshape(h, w)
 
 
 def se_neighborhoods(shape, gt_points, radius: float) -> list[np.ndarray]:

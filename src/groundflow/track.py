@@ -12,9 +12,12 @@ network-flow tracking), so the global minimum over any number of
 tracks is one sparse assignment, solved by scipy's LAPJVsp
 (`min_weight_full_bipartite_matching`).
 
-Among equal-cost optima the result is whichever one LAPJVsp returns for
-the sparse matrix built in detection order: deterministic, but not
-necessarily the optimum a successive-shortest-paths solver would pick.
+The transition arcs are three parallel arrays (heads, tails, costs) in
+lexicographic (head, tail) order over the time-sorted detections, built
+one numpy block per source frame. Among equal-cost optima the result is
+whichever one LAPJVsp returns for the sparse matrix built in that
+order: deterministic, but not necessarily the optimum a
+successive-shortest-paths solver would pick.
 """
 from __future__ import annotations
 
@@ -57,9 +60,7 @@ def sample_offset(field: OffsetField | None, x: float, y: float) -> tuple[float,
         return 0.0, 0.0
     px = np.array([x])
     py = np.array([y])
-    sx, _, _, _ = bilinear_sample(field.dx, px, py)
-    sy, _, _, _ = bilinear_sample(field.dy, px, py)
-    return float(sx[0]), float(sy[0])
+    return float(bilinear_sample(field.dx, px, py)[0]), float(bilinear_sample(field.dy, px, py)[0])
 
 
 def edge_cost(i_pos, j_pos, t1: int, t2: int, delta_bwd_at_j, p: EdgeCostParams) -> float:
@@ -84,13 +85,20 @@ def edge_cost(i_pos, j_pos, t1: int, t2: int, delta_bwd_at_j, p: EdgeCostParams)
 @dataclass
 class TrackingGraph:
     """Detections with their entry/observation/exit costs and
-    transition arcs."""
+    transition arcs.
+
+    Arc k joins detection heads[k] to the later detection tails[k] at
+    cost trans[k]; the arcs are sorted by (head, tail) and unique, so
+    len(trans) is the arc count.
+    """
 
     detections: tuple
     entry: np.ndarray
     exit: np.ndarray
     obs: np.ndarray
-    trans: dict          # (i, j) -> cost, with time_i < time_j
+    heads: np.ndarray    # int64
+    tails: np.ndarray    # int64, time of tails[k] > time of heads[k]
+    trans: np.ndarray    # float64 transition costs
     params: EdgeCostParams
 
 
@@ -108,43 +116,72 @@ def build_graph(detections, bwd_fields, p: EdgeCostParams) -> TrackingGraph:
     `detections` is a flat list or per-frame lists; `bwd_fields` maps
     pair index k (frames k -> k+1) to the fitted backward field, or is
     None for motion-free costs. Observation arcs cost
-    -obs_cost_scale * confidence.
+    -obs_cost_scale * confidence. Each source frame's detections are
+    scored against every detection 1..max_gap frames later in one
+    broadcast, with the arithmetic of `edge_cost`.
     """
     dets = _flatten(detections)
     n = len(dets)
     entry = np.full(n, p.entry_cost)
     exit_ = np.full(n, p.exit_cost)
     obs = np.array([-p.obs_cost_scale * d.confidence for d in dets])
+    times = np.array([d.time for d in dets], dtype=np.int64)
+    xs = np.array([d.x for d in dets], dtype=np.float64)
+    ys = np.array([d.y for d in dets], dtype=np.float64)
+    # frame f holds detections bounds[f]:bounds[f + 1]
+    bounds = np.append(np.flatnonzero(np.diff(times, prepend=times[:1] - 1)), n)
     # backward offset sampled once per detection (at its own position)
-    deltas = []
-    for d in dets:
-        fld = None
-        if bwd_fields is not None and d.time >= 1 and d.time - 1 < len(bwd_fields):
-            fld = bwd_fields[d.time - 1]
-        deltas.append(sample_offset(fld, d.x, d.y))
-    trans: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = dets[j].time - dets[i].time
-            if gap < 1:
-                continue
-            if gap > p.max_gap:
-                break  # detections are time-sorted; later j only grow the gap
-            trans[(i, j)] = edge_cost(
-                (dets[i].x, dets[i].y), (dets[j].x, dets[j].y),
-                dets[i].time, dets[j].time, deltas[j], p,
-            )
-    return TrackingGraph(tuple(dets), entry, exit_, obs, trans, p)
+    bx = np.zeros(n)
+    by = np.zeros(n)
+    if bwd_fields is not None:
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            t = int(times[s])
+            if t >= 1 and t - 1 < len(bwd_fields):
+                fld = bwd_fields[t - 1]
+                bx[s:e] = bilinear_sample(fld.dx, xs[s:e], ys[s:e])
+                by[s:e] = bilinear_sample(fld.dy, xs[s:e], ys[s:e])
+    time_factor = np.array([math.exp(-p.sigma_t * (gap - 1)) for gap in range(p.max_gap + 1)])
+    heads = [np.zeros(0, np.int64)]
+    tails = [np.zeros(0, np.int64)]
+    trans = [np.zeros(0)]
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        # targets: the later frames up to max_gap ahead, which start at e
+        hi = np.searchsorted(times, times[s] + p.max_gap, side="right")
+        gap = times[e:hi] - times[s]
+        ix = xs[s:e, None]
+        iy = ys[s:e, None]
+        d = np.hypot(ix - xs[e:hi], iy - ys[e:hi])
+        dm = np.hypot(ix - (xs[e:hi] + gap * bx[e:hi]), iy - (ys[e:hi] + gap * by[e:hi]))
+        cost = -(time_factor[gap] * np.exp(-p.sigma_d * d) * np.exp(-p.sigma_m * dm))
+        heads.append(np.repeat(np.arange(s, e, dtype=np.int64), hi - e))
+        tails.append(np.tile(np.arange(e, hi, dtype=np.int64), e - s))
+        trans.append(cost.ravel())
+    return TrackingGraph(tuple(dets), entry, exit_, obs, np.concatenate(heads),
+                         np.concatenate(tails), np.concatenate(trans), p)
 
 
 def cover_cost(g: TrackingGraph, tracks: list[list[int]]) -> float:
-    """Canonical total cost of a set of index tracks (fixed summation order)."""
+    """Canonical total cost of a set of index tracks (fixed summation order).
+
+    Raises KeyError if a link of a track is not an arc of the graph.
+    """
+    n = len(g.detections)
+    want = np.array([a * n + b for track in tracks for a, b in zip(track, track[1:])],
+                    dtype=np.int64)
+    keys = g.heads * n + g.tails  # ascending: arcs are in (head, tail) order
+    pos = np.searchsorted(keys, want)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == want[found]
+    if not found.all():
+        a, b = divmod(int(want[~found][0]), n)
+        raise KeyError((a, b))
+    link = iter(g.trans[pos].tolist())
     total = 0.0
     for track in tracks:
         total += g.entry[track[0]]
         total += g.obs[track[0]]
-        for a, b in zip(track, track[1:]):
-            total += g.trans[(a, b)]
+        for b in track[1:]:
+            total += next(link)
             total += g.obs[b]
         total += g.exit[track[-1]]
     return float(total)
@@ -176,9 +213,8 @@ def solve_ssp_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
     if n == 0:
         return [], 0.0
     ar = np.arange(n)
-    heads, tails = np.array(list(g.trans), dtype=np.int64).reshape(-1, 2).T
-    link = np.fromiter(g.trans.values(), dtype=np.float64, count=len(g.trans))
-    wts = np.concatenate([link - g.exit[heads] - g.entry[tails],
+    heads, tails = g.heads, g.tails
+    wts = np.concatenate([g.trans - g.exit[heads] - g.entry[tails],
                           -(g.entry + g.obs + g.exit), np.zeros(n)])
     mat = coo_matrix((wts + (1.0 - wts.min()),
                       (np.concatenate([heads, ar, ar]), np.concatenate([tails, ar, n + ar]))),
@@ -212,7 +248,8 @@ def brute_force_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
         raise InstanceTooLarge(f"brute force limited to 10 detections, got {n}")
     if n == 0:
         return [], 0.0
-    entry, exit_, obs, trans = g.entry, g.exit, g.obs, g.trans
+    entry, exit_, obs = g.entry, g.exit, g.obs
+    trans = dict(zip(zip(g.heads.tolist(), g.tails.tolist()), g.trans.tolist()))
     from functools import lru_cache
 
     @lru_cache(maxsize=None)
@@ -396,6 +433,17 @@ def _square_iou(c1, c2, side: float) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def _square_iou_cost(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
+    """1 - IoU of side-length squares centred at rows of a (k, 2) and b
+    (m, 2), as a (k, m) matrix; the arithmetic of `_square_iou`."""
+    ix = np.maximum(0.0, side - np.abs(a[:, None, 0] - b[None, :, 0]))
+    iy = np.maximum(0.0, side - np.abs(a[:, None, 1] - b[None, :, 1]))
+    inter = ix * iy
+    union = 2.0 * side * side - inter
+    iou = np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+    return 1.0 - iou
+
+
 MOTION_SOURCES = ("kalman", "learned-offset", "none")
 
 
@@ -438,10 +486,8 @@ def associate_two_stage(tracks: list[OnlineTrack], detections: list[Detection],
     def match(track_ids: list[int], dets: list[Detection]) -> tuple[dict[int, Detection], set[int]]:
         if not track_ids or not dets:
             return {}, set()
-        cost = np.empty((len(track_ids), len(dets)))
-        for a, ti in enumerate(track_ids):
-            for b, d in enumerate(dets):
-                cost[a, b] = 1.0 - _square_iou(predicted[ti], (d.x, d.y), cfg.box_side)
+        cost = _square_iou_cost(np.array([predicted[ti] for ti in track_ids]),
+                                np.array([(d.x, d.y) for d in dets]), cfg.box_side)
         pairs = associate_hungarian(
             [tracks[t] for t in track_ids], dets, cost=cost,
             cutoff=1.0 - iou_threshold,

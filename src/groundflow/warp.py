@@ -35,7 +35,6 @@ logger = logging.getLogger(__name__)
 # The exponent of the weight function is clamped to [-60, 60] before
 # exponentiation; for l >= 0 only the upper clamp is reachable.
 EXP_CLAMP = 60.0
-_W_SATURATED = 1.0 / (1.0 + math.exp(EXP_CLAMP))
 
 # Weights below EPSILON are left out of the windowed pass: W(l) < EPSILON
 # once 4 * lambda_r * l - 10 exceeds ln(1 / EPSILON).
@@ -98,33 +97,16 @@ def weight(l, lambda_r: float):
 def _weights_from_l(l: np.ndarray, lambda_r: float) -> np.ndarray:
     """W evaluated from distances; shared by every reconstruction path.
 
-    Distances at or beyond the exponent clamp evaluate to the saturated
-    constant; a slightly padded cutoff plus an explicit clip keeps the
-    masked shortcut bitwise identical to clipping everywhere. A NaN
-    distance gives a NaN weight.
+    Distances at or beyond the exponent clamp give the saturated weight
+    1 / (1 + exp(EXP_CLAMP)). A NaN distance gives a NaN weight.
     """
-    lam4 = 4.0 * lambda_r
-    cut = 70.0 / lam4 + 1e-9
-    near = ~(l >= cut)
-    n_near = int(np.count_nonzero(near))
-    if n_near == l.size:
-        t = l * lam4
-        t -= 10.0
-        np.minimum(t, EXP_CLAMP, out=t)
-        np.exp(t, out=t)
-        t += 1.0
-        np.reciprocal(t, out=t)
-        return t
-    out = np.full(l.shape, _W_SATURATED)
-    if n_near:
-        t = l[near] * lam4
-        t -= 10.0
-        np.minimum(t, EXP_CLAMP, out=t)
-        np.exp(t, out=t)
-        t += 1.0
-        np.reciprocal(t, out=t)
-        out[near] = t
-    return out
+    t = l * (4.0 * lambda_r)
+    t -= 10.0
+    np.minimum(t, EXP_CLAMP, out=t)
+    np.exp(t, out=t)
+    t += 1.0
+    np.reciprocal(t, out=t)
+    return t
 
 
 def _values_of(x) -> np.ndarray:

@@ -13,6 +13,8 @@ from groundflow.track import (
     OnlineTrack,
     TrackingGraph,
     TwoStageConfig,
+    _square_iou,
+    _square_iou_cost,
     associate_hungarian,
     associate_nearest,
     associate_two_stage,
@@ -94,7 +96,7 @@ class TestBuildGraph:
     def test_max_gap_limits_edges(self):
         dets = [Detection(t, 1.0, 1.0, 0.9) for t in range(5)]
         g = build_graph(dets, None, EdgeCostParams(max_gap=2))
-        gaps = {j - i for (i, j) in g.trans}
+        gaps = set((g.tails - g.heads).tolist())
         assert gaps == {1, 2}
 
 
@@ -105,8 +107,10 @@ def _crossing_graph():
     entry = np.full(4, 0.1)
     exit_ = np.full(4, 0.1)
     obs = np.full(4, -0.3)
-    trans = {(0, 2): -0.9, (1, 3): -0.9, (0, 3): -0.5, (1, 2): -0.5}
-    return TrackingGraph(dets, entry, exit_, obs, trans, EdgeCostParams())
+    heads = np.array([0, 0, 1, 1])
+    tails = np.array([2, 3, 2, 3])
+    trans = np.array([-0.9, -0.5, -0.5, -0.9])
+    return TrackingGraph(dets, entry, exit_, obs, heads, tails, trans, EdgeCostParams())
 
 
 class TestSolveSsp:
@@ -350,6 +354,15 @@ class TestTwoStage:
         dets = [Detection(1, 10.5, 10.0, 0.2)]  # low confidence, overlapping
         out, _ = associate_two_stage(tracks, dets, "none", 0.5, 0.1, cfg=cfg)
         assert out[0].points[-1] == (1, 10.5, 10.0)
+
+    def test_iou_cost_matrix_equals_pairwise_iou(self):
+        rng = np.random.default_rng(11)
+        for side in (0.0, 1.0, 5.0, 2.7):
+            a = rng.uniform(0, 20, (9, 2))
+            b = np.concatenate([np.round(a[:4]), rng.uniform(0, 20, (5, 2))])  # exact overlaps too
+            got = _square_iou_cost(a, b, side)
+            want = np.array([[1.0 - _square_iou(x, y, side) for y in b] for x in a])
+            assert np.array_equal(got, want)
 
     def test_run_two_stage_tracks_constant_velocity(self):
         frames = [[Detection(t, 5.0 + 1.0 * t, 8.0, 0.9)] for t in range(6)]
