@@ -3,8 +3,10 @@ frame-rate sweeps, gradient checks and loss ablations.
 
 Config files are flat ``key = value`` text with dotted section
 prefixes (an example lives in the README). Exit codes: 0 success,
-2 config/usage error, 3 numeric failure. GROUNDFLOW_THREADS caps the
-sweep worker pool.
+2 config/usage error, 3 numeric failure. GROUNDFLOW_THREADS (a whole
+number >= 1, default 1) is the number of worker processes that `fit`
+and `sweep-fps` fit frame pairs with, capped at the number of pairs;
+the results are byte-identical for any count.
 """
 from __future__ import annotations
 
@@ -46,9 +48,7 @@ class ExperimentConfig:
     fps_strides: tuple[int, ...] = (1, 3, 5)
     modes: tuple[str, ...] = ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset")
     seeds: tuple[int, ...] = (0,)
-    ablations: tuple[str, ...] = ("no_mot", "no_se", "no_fb", "no_motion_term")
     dist_threshold: float = 2.5
-    output_dir: str = "out"
 
     def __post_init__(self):
         if not self.fps_strides:
@@ -120,7 +120,6 @@ def load_experiment_config(path: str | None, seed_override: int | None = None) -
         learning_rate=_g("fit.learning_rate", float, 0.25),
         schedule=schedule,
         weights=weights,
-        optimizer=_g("fit.optimizer", str, "adaptive-moments"),
         window_cells=_g("fit.window", int, 21),
         se_radius=_g("fit.se_radius", float, scene.gaussian_radius_cells),
     )
@@ -142,10 +141,7 @@ def load_experiment_config(path: str | None, seed_override: int | None = None) -
     modes = _g("sweep.modes", _str_list,
                ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset"))
     seeds = _g("sweep.seeds", _int_list, (0,))
-    ablations = _g("sweep.ablations", _str_list,
-                   ("no_mot", "no_se", "no_fb", "no_motion_term"))
     dist_threshold = _g("track.dist_threshold", float, 2.5)
-    output_dir = _g("output.dir", str, "out")
     unknown = set(kv) - used
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -157,17 +153,21 @@ def load_experiment_config(path: str | None, seed_override: int | None = None) -
         fps_strides=fps_strides,
         modes=modes,
         seeds=seeds,
-        ablations=ablations,
         dist_threshold=dist_threshold,
-        output_dir=output_dir,
     )
 
 
 def _workers() -> int:
+    """The GROUNDFLOW_THREADS worker-process count; anything but a whole
+    number >= 1 is a config error."""
+    raw = os.environ.get("GROUNDFLOW_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GROUNDFLOW_THREADS", "1")))
+        workers = int(raw)
+        if workers >= 1:
+            return workers
     except ValueError:
-        return 1
+        pass
+    raise ConfigError(f"GROUNDFLOW_THREADS must be a whole number >= 1, not {raw!r}")
 
 
 def _fmt(v: float) -> str:
@@ -248,6 +248,7 @@ def load_fields(path, grid: GroundGrid) -> list[OffsetField]:
 
 
 def cmd_fit(args) -> int:
+    workers = _workers()
     scene_cfg, truth, detections = load_scene_dir(args.scene)
     cfg = load_experiment_config(args.config) if args.config else None
     fit_cfg = cfg.fit if cfg else load_experiment_config(None).fit
@@ -264,7 +265,7 @@ def cmd_fit(args) -> int:
                                 stride_adapted(fit_cfg, stride),
                                 scene_cfg.gaussian_sigma_cells,
                                 scene_cfg.gaussian_radius_cells,
-                                workers=_workers())
+                                workers=workers)
     _save_fields(out / "offsets_fwd.bin", [r.fwd for r in results])
     _save_fields(out / "offsets_bwd.bin", [r.bwd for r in results])
     traces = out / "traces"
@@ -367,8 +368,7 @@ def _svg_line_plot(series: dict[str, list[tuple[float, float]]],
     return "\n".join(parts) + "\n"
 
 
-def _sweep_one(task):
-    cfg, stride, seed = task
+def _sweep_one(cfg: ExperimentConfig, stride: int, seed: int, workers: int):
     scene = replace(cfg.scene, seed=seed)
     truth = generate_scene(scene)
     detections = corrupt_detections(truth)
@@ -379,7 +379,8 @@ def _sweep_one(task):
         fit_results = fit_scene_offsets(sub_dets, scene.grid,
                                         stride_adapted(cfg.fit, stride),
                                         scene.gaussian_sigma_cells,
-                                        scene.gaussian_radius_cells)
+                                        scene.gaussian_radius_cells,
+                                        workers=workers)
     rows = []
     for mode in cfg.modes:
         point, _ = run_tracking_point(
@@ -392,24 +393,20 @@ def _sweep_one(task):
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1):
-    tasks = [(cfg, stride, seed) for stride in cfg.fps_strides for seed in cfg.seeds]
-    if workers <= 1 or len(tasks) <= 1:
-        nested = [_sweep_one(t) for t in tasks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(_sweep_one, tasks))
-    points = [p for rows in nested for p in rows]
+    """Every (stride, seed) point in turn; each point's frame pairs are
+    fitted by `workers` processes."""
+    points = [p for stride in cfg.fps_strides for seed in cfg.seeds
+              for p in _sweep_one(cfg, stride, seed, workers)]
     points.sort(key=lambda p: (p.stride, p.mode, p.seed))
     return points
 
 
 def cmd_sweep_fps(args) -> int:
+    workers = _workers()
     cfg = load_experiment_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    points = run_sweep(cfg, workers=_workers())
+    points = run_sweep(cfg, workers=workers)
     lines = ["stride,mode,seed,mota,idf1,motp"]
     for p in points:
         lines.append(f"{p.stride},{p.mode},{p.seed},{_fmt(p.mota)},{_fmt(p.idf1)},{_fmt(p.motp)}")

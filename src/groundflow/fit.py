@@ -6,7 +6,7 @@ composite loss. This isolates the detection-only supervision mechanism:
 no motion annotations enter anywhere, the warp consistency term alone
 has to discover the motion.
 
-Pairs are independent and fitted one after another; the lambda_r
+Pairs are independent of one another, and the lambda_r
 schedule advances once per epoch. The fitted fields are clamped
 per-component to the window radius, which bounds the motion one pair
 can express. The clamp does not make the windowed forward pass exact:
@@ -32,8 +32,6 @@ from .losses import (
 )
 from .warp import ReconstructionConfig, WarpPlan, smoothed_target
 
-OPTIMIZERS = ("plain-gradient", "momentum", "adaptive-moments")
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -41,7 +39,6 @@ class FitConfig:
     learning_rate: float = 0.05
     schedule: LambdaSchedule = dc_field(default_factory=LambdaSchedule)
     weights: LossWeights = dc_field(default_factory=LossWeights)
-    optimizer: str = "adaptive-moments"
     # caps the warp's block radius; each offset component is clamped to
     # the window radius (window_cells - 1) / 2
     window_cells: int = 59
@@ -56,8 +53,6 @@ class FitConfig:
             raise ValueError("epochs must be >= 1")
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; choose from {OPTIMIZERS}")
 
 
 @dataclass(frozen=True)
@@ -77,39 +72,27 @@ class FitResult:
     trace: tuple  # of dict rows: epoch, lambda_r, l_mot, l_det, l_fb, l_se, total
 
 
-class _Optimizer:
-    """First-order updates over a list of parameter arrays."""
+class _AdaptiveMoments:
+    """Adaptive-moments updates over a list of parameter arrays
+    (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
-    def __init__(self, kind: str, lr: float, shapes):
-        self.kind = kind
+    def __init__(self, lr: float, shapes):
         self.lr = lr
         self.step_count = 0
-        if kind == "momentum":
-            self.vel = [np.zeros(s) for s in shapes]
-        elif kind == "adaptive-moments":
-            self.m = [np.zeros(s) for s in shapes]
-            self.v = [np.zeros(s) for s in shapes]
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
 
     def step(self, params, grads):
         self.step_count += 1
-        if self.kind == "plain-gradient":
-            for p, g in zip(params, grads):
-                p -= self.lr * g
-        elif self.kind == "momentum":
-            for p, g, v in zip(params, grads, self.vel):
-                v *= 0.9
-                v += g
-                p -= self.lr * v
-        else:  # adaptive-moments: beta1=0.9, beta2=0.999, eps=1e-8
-            b1, b2, eps = 0.9, 0.999, 1e-8
-            c1 = 1.0 - b1 ** self.step_count
-            c2 = 1.0 - b2 ** self.step_count
-            for p, g, m, v in zip(params, grads, self.m, self.v):
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * g * g
-                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        c1 = 1.0 - b1 ** self.step_count
+        c2 = 1.0 - b2 ** self.step_count
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def fit_offsets(pairs, cfg: FitConfig, grid: GroundGrid | None = None,
@@ -118,11 +101,14 @@ def fit_offsets(pairs, cfg: FitConfig, grid: GroundGrid | None = None,
 
     Returns one FitResult per pair with the per-epoch loss trace.
     Raises Divergence if any loss becomes non-finite. Pairs are
-    independent; `workers` > 1 fits them in a process pool with
-    bit-identical results (no shared state between pairs).
+    independent, so `workers` > 1 fits them in a pool of that many
+    processes, capped at the number of pairs; the results are
+    bit-identical for any count. The CLI's `fit` and `sweep-fps` take
+    the count from GROUNDFLOW_THREADS.
     """
     pairs = list(pairs)
-    if workers <= 1 or len(pairs) <= 1:
+    workers = min(workers, len(pairs))
+    if workers <= 1:
         return [_fit_single_pair(p, cfg, grid, i) for i, p in enumerate(pairs)]
     from concurrent.futures import ProcessPoolExecutor
 
@@ -150,7 +136,7 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
     bdx = np.zeros((h, w))
     bdy = np.zeros((h, w))
     params = [fdx, fdy, bdx, bdy]
-    opt = _Optimizer(cfg.optimizer, cfg.learning_rate, [p.shape for p in params])
+    opt = _AdaptiveMoments(cfg.learning_rate, [p.shape for p in params])
     clamp = (cfg.window_cells - 1) / 2.0
     schedule = cfg.schedule
     trace = []

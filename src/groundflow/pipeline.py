@@ -26,6 +26,8 @@ from .track import (
 
 TRACK_MODES = ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset",
                "nearest", "hungarian")
+# farthest match, in cells, of the nearest and hungarian chaining baselines
+CHAIN_MAX_DIST = 10.0
 
 
 def stride_adapted(fit_cfg: FitConfig, stride: int) -> FitConfig:
@@ -77,15 +79,15 @@ def fit_pairs_from_detections(frames: list[list[Detection]], grid: GroundGrid,
 
 def fit_scene_offsets(frames: list[list[Detection]], grid: GroundGrid,
                       fit_cfg: FitConfig, sigma: float, radius: float,
-                      workers: int = 1, drop_noise: bool = True) -> list[FitResult]:
+                      workers: int = 1) -> list[FitResult]:
     """Fit per-pair offset fields from a detection stream.
 
     Detections classified as noise by the confidence split are excluded
-    from the heatmaps by default; a detector's false positives otherwise
-    seed spurious motion targets.
+    from the heatmaps; a detector's false positives otherwise seed
+    spurious motion targets. `workers` is the process count of
+    `fit_offsets`.
     """
-    if drop_noise:
-        frames = filter_noise_detections(frames)
+    frames = filter_noise_detections(frames)
     return fit_offsets(fit_pairs_from_detections(frames, grid, sigma, radius),
                        fit_cfg, grid, workers=workers)
 
@@ -123,14 +125,12 @@ def _chain_tracker(frames: list[list[Detection]], matcher) -> list[Trajectory]:
 def track_detections(frames: list[list[Detection]], mode: str,
                      fit_results: list[FitResult] | None = None,
                      edges: EdgeCostParams = EdgeCostParams(),
-                     two_stage: TwoStageConfig = TwoStageConfig(),
-                     kmeans_split: str = "auto",
-                     nearest_max_dist: float = 10.0,
-                     hungarian_cutoff: float = 10.0) -> list[Trajectory]:
+                     two_stage: TwoStageConfig = TwoStageConfig()) -> list[Trajectory]:
     """Run one tracking mode over a detection sequence.
 
     Modes needing fitted offsets (mussp, bytestyle-offset) read them
-    from `fit_results`; absent fields degrade to zero motion.
+    from `fit_results`; absent fields degrade to zero motion. The flow
+    modes drop the noise detections first (`filter_noise_detections`).
     """
     if mode not in TRACK_MODES:
         raise ConfigError(f"unknown tracking mode {mode!r}; choose from {TRACK_MODES}")
@@ -140,11 +140,7 @@ def track_detections(frames: list[list[Detection]], mode: str,
         bwd_fields = [r.bwd for r in fit_results]
 
     if mode in ("mussp", "mussp-nomotion"):
-        flat = [d for dets in frames for d in dets]
-        if kmeans_split == "on" or (kmeans_split == "auto" and flat):
-            kept, _ = select_true_detections(flat)
-            kept_ids = {id(d) for d in kept}
-            frames = [[d for d in dets if id(d) in kept_ids] for dets in frames]
+        frames = filter_noise_detections(frames)
         params = edges if mode == "mussp" else replace(edges, sigma_m=0.0)
         graph = build_graph(frames, bwd_fields if mode == "mussp" else None, params)
         return solve_ssp(graph)
@@ -154,8 +150,8 @@ def track_detections(frames: list[list[Detection]], mode: str,
         return run_two_stage(frames, "learned-offset", fwd_fields=fwd_fields,
                              conf_split=_conf_split(frames), cfg=two_stage)
     if mode == "nearest":
-        return _chain_tracker(frames, lambda a, b: associate_nearest(a, b, nearest_max_dist))
-    return _chain_tracker(frames, lambda a, b: associate_hungarian(a, b, cutoff=hungarian_cutoff))
+        return _chain_tracker(frames, lambda a, b: associate_nearest(a, b, CHAIN_MAX_DIST))
+    return _chain_tracker(frames, lambda a, b: associate_hungarian(a, b, cutoff=CHAIN_MAX_DIST))
 
 
 def _conf_split(frames) -> float:
@@ -185,8 +181,8 @@ def run_tracking_point(scene_cfg: SceneConfig, stride: int, mode: str,
                        dist_threshold: float = 2.5,
                        truth: SceneTruth | None = None,
                        detections: list[list[Detection]] | None = None,
-                       fit_results: list[FitResult] | None = None,
-                       workers: int = 1) -> tuple[SweepPoint, MotReport]:
+                       fit_results: list[FitResult] | None = None
+                       ) -> tuple[SweepPoint, MotReport]:
     """One (stride, mode) experiment point on a simulated scene.
 
     Heavy intermediates (truth, detections, fitted offsets) may be
@@ -203,7 +199,6 @@ def run_tracking_point(scene_cfg: SceneConfig, stride: int, mode: str,
         fit_results = fit_scene_offsets(
             sub_dets, scene_cfg.grid, stride_adapted(fit_cfg, stride),
             scene_cfg.gaussian_sigma_cells, scene_cfg.gaussian_radius_cells,
-            workers=workers,
         )
     tracks = track_detections(sub_dets, mode, fit_results=fit_results,
                               edges=edges, two_stage=two_stage)

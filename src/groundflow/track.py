@@ -448,7 +448,7 @@ MOTION_SOURCES = ("kalman", "learned-offset", "none")
 
 
 def associate_two_stage(tracks: list[OnlineTrack], detections: list[Detection],
-                        motion_source: str, conf_split: float, iou_threshold: float,
+                        motion_source: str, conf_split: float,
                         cfg: TwoStageConfig = TwoStageConfig(),
                         fwd_field: OffsetField | None = None,
                         frame: int | None = None,
@@ -490,7 +490,7 @@ def associate_two_stage(tracks: list[OnlineTrack], detections: list[Detection],
                                 np.array([(d.x, d.y) for d in dets]), cfg.box_side)
         pairs = associate_hungarian(
             [tracks[t] for t in track_ids], dets, cost=cost,
-            cutoff=1.0 - iou_threshold,
+            cutoff=1.0 - cfg.iou_threshold,
         )
         assigned = {track_ids[a]: dets[b] for a, b in pairs}
         used = {id(dets[b]) for _, b in pairs}
@@ -540,7 +540,7 @@ def run_two_stage(frames: list[list[Detection]], motion_source: str,
         if fwd_fields is not None and t >= 1 and t - 1 < len(fwd_fields):
             fwd = fwd_fields[t - 1]
         active, next_id = associate_two_stage(
-            active, dets, motion_source, conf_split, cfg.iou_threshold,
+            active, dets, motion_source, conf_split,
             cfg=cfg, fwd_field=fwd, frame=t, next_id=next_id,
         )
         for tr in active:

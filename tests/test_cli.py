@@ -5,6 +5,8 @@ import pytest
 
 from groundflow import io
 from groundflow.cli import load_experiment_config, main
+from groundflow.pipeline import fit_scene_offsets, stride_adapted, track_detections
+from groundflow.sim import corrupt_detections, generate_scene, subsample_fps
 
 TINY = """
 scene.width = 28
@@ -46,7 +48,9 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        for line in ("scene.widht = 32\n", "recon.lambda_r = 1.0\n"):
+        for line in ("scene.widht = 32\n", "recon.lambda_r = 1.0\n",
+                     "fit.optimizer = adaptive-moments\n", "sweep.ablations = no_se\n",
+                     "output.dir = x\n"):
             p.write_text(line)
             rc = _run("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
             assert rc == 2, line
@@ -113,6 +117,34 @@ class TestFitTrack:
         assert report["mota"] > 0.9
         tracks = io.load_trajectories(trk / "tracks.csv")
         assert len(tracks) >= 3
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_offsets_round_trip_gives_in_process_tracks(self, tiny_cfg, tmp_path, stride):
+        scene = tmp_path / "scene"
+        fit = tmp_path / "fit"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        assert _run("fit", "--scene", str(scene), "--out", str(fit), "--config", tiny_cfg,
+                    "--stride", str(stride)) == 0
+        cfg = load_experiment_config(tiny_cfg)
+        dets = subsample_fps(corrupt_detections(generate_scene(cfg.scene)), stride)
+        fits = fit_scene_offsets(dets, cfg.scene.grid, stride_adapted(cfg.fit, stride),
+                                 cfg.scene.gaussian_sigma_cells, cfg.scene.gaussian_radius_cells)
+        for mode in ("mussp", "bytestyle-offset"):
+            trk = tmp_path / mode
+            assert _run("track", "--scene", str(scene), "--offsets", str(fit), "--mode", mode,
+                        "--out", str(trk), "--config", tiny_cfg, "--stride", str(stride)) == 0
+            io.save_trajectories(tmp_path / "ref.csv", track_detections(
+                dets, mode, fit_results=fits, edges=cfg.edges, two_stage=cfg.two_stage))
+            assert (trk / "tracks.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), mode
+
+    @pytest.mark.parametrize("threads", ["two", "0"])
+    def test_bad_thread_count_is_config_error(self, tiny_cfg, tmp_path, monkeypatch, threads):
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        monkeypatch.setenv("GROUNDFLOW_THREADS", threads)
+        rc = _run("fit", "--scene", str(scene), "--out", str(tmp_path / "f"), "--config", tiny_cfg)
+        assert rc == 2
+        assert not (tmp_path / "f").exists()
 
     def test_unknown_mode_is_usage_error(self, tiny_cfg, tmp_path):
         scene = tmp_path / "scene"

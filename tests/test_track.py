@@ -311,7 +311,7 @@ class TestTwoStage:
         cfg = TwoStageConfig(box_side=5.0)
         tracks = [OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=False)]
         dets = [Detection(1, 11.0, 10.5, 0.95)]
-        out, next_id = associate_two_stage(tracks, dets, "none", 0.5, 0.1, cfg=cfg)
+        out, next_id = associate_two_stage(tracks, dets, "none", 0.5, cfg=cfg)
         assert next_id == 0
         assert len(out) == 1
         assert out[0].points[-1] == (1, 11.0, 10.5)
@@ -323,11 +323,11 @@ class TestTwoStage:
         dets = [Detection(1, 18.0, 10.0, 0.95)]  # 8 cells right of the track head
 
         tracks = [OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=False)]
-        out, _ = associate_two_stage(tracks, dets, "none", 0.5, 0.1, cfg=cfg)
+        out, _ = associate_two_stage(tracks, dets, "none", 0.5, cfg=cfg)
         assert len(out) == 2  # no overlap: old track ages, new one starts
 
         tracks = [OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=False)]
-        out, _ = associate_two_stage(tracks, dets, "learned-offset", 0.5, 0.1,
+        out, _ = associate_two_stage(tracks, dets, "learned-offset", 0.5,
                                      cfg=cfg, fwd_field=fwd)
         assert len(out) == 1
         assert out[0].points[-1] == (1, 18.0, 10.0)
@@ -336,23 +336,23 @@ class TestTwoStage:
         cfg = TwoStageConfig(max_age=2)
         tracks = [OnlineTrack(0, Detection(0, 5.0, 5.0, 0.9), cfg, use_kalman=False)]
         for t in range(1, 3):
-            tracks, _ = associate_two_stage(tracks, [], "none", 0.5, 0.1,
+            tracks, _ = associate_two_stage(tracks, [], "none", 0.5,
                                             cfg=cfg, frame=t)
             assert len(tracks) == 1
-        tracks, _ = associate_two_stage(tracks, [], "none", 0.5, 0.1, cfg=cfg, frame=3)
+        tracks, _ = associate_two_stage(tracks, [], "none", 0.5, cfg=cfg, frame=3)
         assert tracks == []
 
     def test_low_confidence_cannot_start_tracks(self):
         cfg = TwoStageConfig()
         out, next_id = associate_two_stage([], [Detection(0, 3.0, 3.0, 0.2)],
-                                           "none", 0.5, 0.1, cfg=cfg, frame=0)
+                                           "none", 0.5, cfg=cfg, frame=0)
         assert out == [] and next_id == 0
 
     def test_second_stage_rescues_with_low_confidence(self):
         cfg = TwoStageConfig(box_side=5.0)
         tracks = [OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=False)]
         dets = [Detection(1, 10.5, 10.0, 0.2)]  # low confidence, overlapping
-        out, _ = associate_two_stage(tracks, dets, "none", 0.5, 0.1, cfg=cfg)
+        out, _ = associate_two_stage(tracks, dets, "none", 0.5, cfg=cfg)
         assert out[0].points[-1] == (1, 10.5, 10.0)
 
     def test_iou_cost_matrix_equals_pairwise_iou(self):
