@@ -195,7 +195,9 @@ def _scene_meta(scene: SceneConfig) -> dict:
     }
 
 
-def load_scene_dir(scene_dir: str):
+def load_scene_dir(scene_dir: str, stride: int):
+    """A scene directory's config, truth and detections, with every
+    stride-th frame kept."""
     meta = Path(scene_dir) / "meta.cfg"
     if not meta.exists():
         raise ConfigError(f"{scene_dir}: missing meta.cfg (not a scene directory?)")
@@ -204,7 +206,17 @@ def load_scene_dir(scene_dir: str):
     detections = io.load_detections(Path(scene_dir) / "detections.csv")
     while len(detections) < truth.num_frames:  # trailing empty frames
         detections.append([])
+    if stride > 1:
+        truth = subsample_fps(truth, stride)
+        detections = subsample_fps(detections, stride)
     return cfg.scene, truth, detections
+
+
+def _save_fields(path, fields: list[OffsetField]) -> None:
+    channels = []
+    for f in fields:
+        channels.extend([f.dx, f.dy])
+    io.save_maps(path, channels)
 
 
 def cmd_simulate(args) -> int:
@@ -217,11 +229,8 @@ def cmd_simulate(args) -> int:
     io.save_trajectories(out / "truth_trajectories.csv", truth.trajectories)
     io.save_detections(out / "detections.csv", detections)
     io.save_maps(out / "gt_heatmaps.bin", [hm.values for hm in truth.gt_heatmaps])
-    channels = []
-    for f in truth.gt_offsets:
-        channels.extend([f.dx, f.dy])
-    if channels:
-        io.save_maps(out / "gt_offsets.bin", channels)
+    if truth.gt_offsets:
+        _save_fields(out / "gt_offsets.bin", truth.gt_offsets)
     n_det = sum(len(d) for d in detections)
     print(f"scene: {cfg.scene.num_agents} agents, {cfg.scene.num_frames} frames, "
           f"grid {cfg.scene.grid.width_cells}x{cfg.scene.grid.height_cells}")
@@ -231,13 +240,6 @@ def cmd_simulate(args) -> int:
 
 
 # ---------------------------------------------------------------- fit
-
-def _save_fields(path, fields: list[OffsetField]) -> None:
-    channels = []
-    for f in fields:
-        channels.extend([f.dx, f.dy])
-    io.save_maps(path, channels)
-
 
 def load_fields(path, grid: GroundGrid) -> list[OffsetField]:
     w, h, channels = io.load_maps(path)
@@ -249,20 +251,15 @@ def load_fields(path, grid: GroundGrid) -> list[OffsetField]:
 
 def cmd_fit(args) -> int:
     workers = _workers()
-    scene_cfg, truth, detections = load_scene_dir(args.scene)
-    cfg = load_experiment_config(args.config) if args.config else None
-    fit_cfg = cfg.fit if cfg else load_experiment_config(None).fit
-    stride = args.stride
-    if stride > 1:
-        truth = subsample_fps(truth, stride)
-        detections = subsample_fps(detections, stride)
+    scene_cfg, truth, detections = load_scene_dir(args.scene, args.stride)
+    fit_cfg = load_experiment_config(args.config).fit
     if sum(len(d) for d in detections) == 0 or len(detections) < 2:
         print("no frame pairs to fit (empty scene)")
         return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = fit_scene_offsets(detections, scene_cfg.grid,
-                                stride_adapted(fit_cfg, stride),
+                                stride_adapted(fit_cfg, args.stride),
                                 scene_cfg.gaussian_sigma_cells,
                                 scene_cfg.gaussian_radius_cells,
                                 workers=workers)
@@ -282,12 +279,8 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------- track
 
 def cmd_track(args) -> int:
-    scene_cfg, truth, detections = load_scene_dir(args.scene)
-    cfg = load_experiment_config(args.config) if args.config else load_experiment_config(None)
-    stride = args.stride
-    if stride > 1:
-        truth = subsample_fps(truth, stride)
-        detections = subsample_fps(detections, stride)
+    scene_cfg, truth, detections = load_scene_dir(args.scene, args.stride)
+    cfg = load_experiment_config(args.config)
     fit_results = None
     if args.offsets:
         grid = scene_cfg.grid
@@ -401,16 +394,20 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1):
     return points
 
 
+def _write_points_csv(path, points) -> None:
+    lines = ["stride,mode,seed,mota,idf1,motp"]
+    for p in points:
+        lines.append(f"{p.stride},{p.mode},{p.seed},{_fmt(p.mota)},{_fmt(p.idf1)},{_fmt(p.motp)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 def cmd_sweep_fps(args) -> int:
     workers = _workers()
     cfg = load_experiment_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     points = run_sweep(cfg, workers=workers)
-    lines = ["stride,mode,seed,mota,idf1,motp"]
-    for p in points:
-        lines.append(f"{p.stride},{p.mode},{p.seed},{_fmt(p.mota)},{_fmt(p.idf1)},{_fmt(p.motp)}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write_points_csv(out / "sweep.csv", points)
     series: dict[str, dict[int, list[float]]] = {}
     for p in points:
         series.setdefault(p.mode, {}).setdefault(p.stride, []).append(p.mota)
@@ -525,10 +522,7 @@ def cmd_ablate(args) -> int:
             point, _ = run_tracking_point(scene, stride, mode, cfg.fit, cfg.edges,
                                           cfg.two_stage, cfg.dist_threshold)
             rows2.append(point)
-    lines = ["stride,mode,seed,mota,idf1,motp"]
-    for p in rows2:
-        lines.append(f"{p.stride},{p.mode},{p.seed},{_fmt(p.mota)},{_fmt(p.idf1)},{_fmt(p.motp)}")
-    (out / "ablation_motion_term.csv").write_text("\n".join(lines) + "\n")
+    _write_points_csv(out / "ablation_motion_term.csv", rows2)
     for mode in ("mussp", "mussp-nomotion"):
         sel = [p for p in rows2 if p.mode == mode]
         print(f"  {mode:18s} stride {stride}: mota={np.mean([p.mota for p in sel]):.4f} "

@@ -129,9 +129,6 @@ class Trajectory:
     def times(self) -> list[int]:
         return [p[0] for p in self.points]
 
-    def as_dict(self) -> dict[int, tuple[float, float]]:
-        return {t: (x, y) for t, x, y in self.points}
-
 
 def homography_from_calib(K, R, t) -> np.ndarray:
     """Ground-plane (z = 0) homography from intrinsics and pose.

@@ -6,8 +6,10 @@ and within the distance threshold; the remaining detections are then
 assigned by minimum total distance. An identity switch is counted when
 a ground-truth track's matched prediction id differs from its last
 known match. MOTP is the raw mean matched distance in cells (lower is
-better). Identity metrics come from a single global trajectory-level
-assignment that maximizes correctly identified frames.
+better). Identity metrics (IDF1/IDP/IDR) come from a single global
+trajectory-level assignment that maximizes correctly identified frames;
+the per-pair counts of such frames are taken in the same per-frame pass,
+from the same gt x pred distance matrix as the CLEAR MOT matching.
 """
 from __future__ import annotations
 
@@ -61,12 +63,13 @@ class OffsetReport:
         }, indent=2, sort_keys=True) + "\n"
 
 
-def _by_frame(trajectories) -> dict[int, list[tuple[int, float, float]]]:
-    frames: dict[int, list[tuple[int, float, float]]] = {}
-    for tr in trajectories:
+def _by_frame(trajectories) -> dict[int, list[tuple[int, float, float, int]]]:
+    """Each frame's (id, x, y, list index) rows, sorted."""
+    frames: dict[int, list[tuple[int, float, float, int]]] = {}
+    for k, tr in enumerate(trajectories):
         for (t, x, y) in tr.points:
-            frames.setdefault(t, []).append((tr.id, x, y))
-    return frames
+            frames.setdefault(t, []).append((tr.id, x, y, k))
+    return {t: sorted(rows) for t, rows in frames.items()}
 
 
 def clear_mot(pred, gt, dist_threshold: float = 2.5) -> MotReport:
@@ -74,44 +77,49 @@ def clear_mot(pred, gt, dist_threshold: float = 2.5) -> MotReport:
     gt_total = sum(len(tr.points) for tr in gt)
     if gt_total == 0:
         raise UndefinedMetric("MOTA is undefined without ground truth")
+    pred_total = sum(len(tr.points) for tr in pred)
     gt_frames = _by_frame(gt)
     pred_frames = _by_frame(pred)
-    all_frames = sorted(set(gt_frames) | set(pred_frames))
+    # overlap[a, b]: frames where pred[b] lies within the threshold of gt[a]
+    overlap = np.zeros((len(gt), len(pred)), dtype=np.int64)
 
     mapping: dict[int, int] = {}  # gt id -> last matched pred id
     fp = fn = idsw = matches = 0
     dist_sum = 0.0
-    for t in all_frames:
-        gts = sorted(gt_frames.get(t, []))
-        preds = sorted(pred_frames.get(t, []))
-        pred_by_id = {p[0]: p for p in preds}
-        unmatched_gt = []
+    for t in sorted(set(gt_frames) | set(pred_frames)):
+        gts = gt_frames.get(t, [])
+        preds = pred_frames.get(t, [])
+        if not (gts and preds):
+            fn += len(gts)
+            fp += len(preds)
+            continue
+        gids, gx, gy, g_rows = zip(*gts)
+        pids, px, py, p_rows = zip(*preds)
+        dist = np.hypot(np.subtract.outer(gx, px), np.subtract.outer(gy, py))
+        overlap[np.ix_(g_rows, p_rows)] += dist <= dist_threshold
+        pred_col = {pid: c for c, pid in enumerate(pids)}
         used_pred = set()
+        unmatched = []
         # keep persistent matches that are still close enough
-        for (gid, gx, gy) in gts:
+        for r, gid in enumerate(gids):
             pid = mapping.get(gid)
-            if pid is not None and pid in pred_by_id and pid not in used_pred:
-                _, px, py = pred_by_id[pid]
-                d = math.hypot(gx - px, gy - py)
-                if d <= dist_threshold:
-                    matches += 1
-                    dist_sum += d
-                    used_pred.add(pid)
-                    continue
-            unmatched_gt.append((gid, gx, gy))
-        free_pred = [p for p in preds if p[0] not in used_pred]
-        if unmatched_gt and free_pred:
-            cost = np.array([[math.hypot(gx - px, gy - py)
-                              for (_, px, py) in free_pred]
-                             for (_, gx, gy) in unmatched_gt])
-            work = np.where(cost > dist_threshold, 1e9, cost)
-            rows, cols = linear_sum_assignment(work)
+            c = pred_col.get(pid)
+            if c is not None and pid not in used_pred and dist[r, c] <= dist_threshold:
+                matches += 1
+                dist_sum += float(dist[r, c])
+                used_pred.add(pid)
+            else:
+                unmatched.append(r)
+        free = [c for c, pid in enumerate(pids) if pid not in used_pred]
+        if unmatched and free:
+            cost = dist[np.ix_(unmatched, free)]
+            rows, cols = linear_sum_assignment(np.where(cost > dist_threshold, 1e9, cost))
             newly = set()
             for r, c in zip(rows, cols):
                 if cost[r, c] > dist_threshold:
                     continue
-                gid = unmatched_gt[r][0]
-                pid = free_pred[c][0]
+                gid = gids[unmatched[r]]
+                pid = pids[free[c]]
                 matches += 1
                 dist_sum += float(cost[r, c])
                 used_pred.add(pid)
@@ -119,41 +127,20 @@ def clear_mot(pred, gt, dist_threshold: float = 2.5) -> MotReport:
                 if gid in mapping and mapping[gid] != pid:
                     idsw += 1
                 mapping[gid] = pid
-            unmatched_gt = [g for g in unmatched_gt if g[0] not in newly]
-        fn += len(unmatched_gt)
+            unmatched = [r for r in unmatched if gids[r] not in newly]
+        fn += len(unmatched)
         fp += len(preds) - len(used_pred)
 
-    mota = 1.0 - (fn + fp + idsw) / gt_total
-    motp = dist_sum / matches if matches else 0.0
-    idf1, idp, idr = _identity_metrics(pred, gt, dist_threshold)
-    return MotReport(mota=mota, motp=motp, idf1=idf1, idp=idp, idr=idr,
-                     gt=gt_total, fp=fp, fn=fn, idsw=idsw, matches=matches)
-
-
-def _identity_metrics(pred, gt, thr: float) -> tuple[float, float, float]:
-    gt_total = sum(len(tr.points) for tr in gt)
-    pred_total = sum(len(tr.points) for tr in pred)
-    if not pred or not gt:
-        return 0.0, 0.0, 0.0
-    overlap = np.zeros((len(gt), len(pred)))
-    pred_dicts = [tr.as_dict() for tr in pred]
-    for a, gtr in enumerate(gt):
-        for b, pd in enumerate(pred_dicts):
-            hits = 0
-            for (t, gx, gy) in gtr.points:
-                pos = pd.get(t)
-                if pos is not None and math.hypot(gx - pos[0], gy - pos[1]) <= thr:
-                    hits += 1
-            overlap[a, b] = hits
+    # identity metrics: one global assignment maximizing the overlap
     rows, cols = linear_sum_assignment(-overlap)
     idtp = int(overlap[rows, cols].sum())
-    idfp = pred_total - idtp
-    idfn = gt_total - idtp
-    denom = 2 * idtp + idfp + idfn
-    idf1 = 2 * idtp / denom if denom else 0.0
-    idp = idtp / pred_total if pred_total else 0.0
-    idr = idtp / gt_total if gt_total else 0.0
-    return idf1, idp, idr
+    return MotReport(
+        mota=1.0 - (fn + fp + idsw) / gt_total,
+        motp=dist_sum / matches if matches else 0.0,
+        idf1=2 * idtp / (gt_total + pred_total),
+        idp=idtp / pred_total if pred_total else 0.0,
+        idr=idtp / gt_total,
+        gt=gt_total, fp=fp, fn=fn, idsw=idsw, matches=matches)
 
 
 def offset_error(delta_pred: OffsetField, truth, pair_index: int) -> OffsetReport:

@@ -32,8 +32,9 @@ from .errors import DimensionMismatch
 
 logger = logging.getLogger(__name__)
 
-# The exponent of the weight function is clamped to [-60, 60] before
-# exponentiation; for l >= 0 only the upper clamp is reachable.
+# The exponent of the weight function is clamped to at most 60 before
+# exponentiation. No lower clamp is needed: from an exponent of -37 down,
+# the weight already rounds to exactly 1.0.
 EXP_CLAMP = 60.0
 
 # Weights below EPSILON are left out of the windowed pass: W(l) < EPSILON
@@ -86,11 +87,11 @@ class WarpGradients:
 
 
 def weight(l, lambda_r: float):
-    """Distance weight W(l) = 1 / (1 + exp(4 * lambda_r * l - 10))."""
-    t = np.clip(4.0 * lambda_r * np.asarray(l, dtype=np.float64) - 10.0, -EXP_CLAMP, EXP_CLAMP)
-    out = 1.0 / (1.0 + np.exp(t))
+    """Distance weight W(l) = 1 / (1 + exp(4 * lambda_r * l - 10)), computed
+    as every reconstruction path computes it (see _weights_from_l)."""
+    out = _weights_from_l(np.atleast_1d(np.asarray(l, dtype=np.float64)), lambda_r)
     if np.ndim(l) == 0:
-        return float(out)
+        return float(out[0])
     return out
 
 
@@ -251,28 +252,23 @@ def reconstruct_zero_offset(plan: WarpPlan, lambda_r: float) -> np.ndarray:
 
 
 def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float,
-                           cache: dict | None = None,
-                           dx: np.ndarray | None = None,
-                           dy: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                           cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """d(loss)/d(offset components), supported on the plan's source cells.
 
-    The offset gradient is x_i * sum_j upstream_j * W'(l) * (-(j - c_i) / l)
-    with W'(l) = -4 * lambda_r * W * (1 - W); the direction factor is
-    defined as zero where l < 1e-8.
+    `cache` is the dict that reconstruct_with_plan filled on the forward
+    pass at this lambda_r. The offset gradient is
+    x_i * sum_j upstream_j * W'(l) * (-(j - c_i) / l) with
+    W'(l) = -4 * lambda_r * W * (1 - W); the direction factor is defined
+    as zero where l < 1e-8.
     """
     g_dx = np.zeros((plan.h, plan.w))
     g_dy = np.zeros((plan.h, plan.w))
     if plan.num_sources == 0:
         return g_dx, g_dy
-    if cache is not None and "l" in cache and cache.get("lambda_r") == lambda_r:
-        idx, pad = cache["idx"], cache["pad"]
-        dxb, dyb, l, wb = cache["dxb"], cache["dyb"], cache["l"], cache["wb"]
-    else:
-        if dx is None or dy is None:
-            raise ValueError("need either a forward cache or the offset arrays")
-        idx, pad, dxb, dyb, l = _block_distances(plan.ys, plan.xs, dx, dy,
-                                                 block_radius(lambda_r, plan.window))
-        wb = _weights_from_l(l, lambda_r)
+    if cache.get("lambda_r") != lambda_r:
+        raise ValueError("cache holds no forward pass of this plan at this lambda_r")
+    idx, pad = cache["idx"], cache["pad"]
+    dxb, dyb, l, wb = cache["dxb"], cache["dyb"], cache["l"], cache["wb"]
 
     upb = _padded_flat(upstream, pad)[idx].reshape(wb.shape)
 
@@ -384,7 +380,9 @@ def reconstruct_backward(X, delta, cfg: ReconstructionConfig, upstream) -> WarpG
     upstream = np.asarray(upstream, dtype=np.float64)
     _check_shapes(values, dx, dy, upstream)
     plan = WarpPlan(values, cfg.window_cells)
-    g_dx, g_dy = grad_offsets_with_plan(plan, upstream, cfg.lambda_r, dx=dx, dy=dy)
+    cache: dict = {}
+    reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, cache)
+    g_dx, g_dy = grad_offsets_with_plan(plan, upstream, cfg.lambda_r, cache)
     d_heatmap = _grad_heatmap_full(values, dx, dy, upstream, cfg)
     return WarpGradients(d_heatmap=d_heatmap, d_offset_x=g_dx, d_offset_y=g_dy)
 

@@ -5,8 +5,9 @@ import pytest
 
 from groundflow.core import GroundGrid, OffsetField, Trajectory
 from groundflow.errors import UndefinedMetric
-from groundflow.metrics import clear_mot, mean_offset_report, offset_error
-from groundflow.sim import SceneConfig, generate_scene
+from groundflow.metrics import MotReport, clear_mot, mean_offset_report, offset_error
+from groundflow.pipeline import track_detections
+from groundflow.sim import SceneConfig, corrupt_detections, generate_scene
 
 
 def _track(tid, pts):
@@ -85,6 +86,28 @@ class TestClearMot:
     def test_empty_gt_rejected(self):
         with pytest.raises(UndefinedMetric):
             clear_mot(_grid_tracks(1, 3), [])
+
+    def test_pinned_crowd_reports(self):
+        # the crowd instance of test_track's pinned flow optimum, tracked with
+        # the default parameters; every field was recorded before the scoring
+        # became a single pass over frames and is compared exactly
+        cfg = SceneConfig(grid=GroundGrid(140, 140), num_agents=50, num_frames=40,
+                          speed_cells=(0.8, 1.8), miss_rate=0.03,
+                          fp_rate_per_frame=1.875, jitter_sigma_cells=0.15, seed=200)
+        truth = generate_scene(cfg)
+        dets = corrupt_detections(truth)
+        expected = {
+            "mussp-nomotion": MotReport(
+                mota=0.9635, motp=0.20329150549364824, idf1=0.9252975436819448,
+                idp=0.9374037968188815, idr=0.9135,
+                gt=2000, fp=1, fn=52, idsw=20, matches=1948),
+            "bytestyle-kalman": MotReport(
+                mota=0.969, motp=0.1885222481523897, idf1=0.9232717143580653,
+                idp=0.935351462288353, idr=0.9115,
+                gt=2000, fp=0, fn=51, idsw=11, matches=1949),
+        }
+        for mode, report in expected.items():
+            assert clear_mot(track_detections(dets, mode), list(truth.trajectories)) == report
 
     def test_json_field_names(self):
         gt = _grid_tracks(2, 3)

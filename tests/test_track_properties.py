@@ -7,7 +7,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from groundflow.core import Detection, GroundGrid, OffsetField  # noqa: E402
-from groundflow.track import EdgeCostParams, build_graph, edge_cost, sample_offset  # noqa: E402
+from groundflow.track import (  # noqa: E402
+    EdgeCostParams,
+    brute_force_detailed,
+    build_graph,
+    edge_cost,
+    sample_offset,
+    solve_ssp_detailed,
+)
 
 SIZE = 12
 
@@ -66,3 +73,30 @@ def test_arcs_match_the_pairwise_definition(seed, per_frame, max_gap, per_frame_
     assert len(g.trans) == len(arcs)
     if arcs:
         np.testing.assert_allclose(g.trans, costs, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    per_frame=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    max_gap=st.integers(1, 4),
+    lattice=st.booleans(),
+)
+def test_solver_cost_equals_brute_force(seed, per_frame, max_gap, lattice):
+    # up to 10 detections; integer positions on a lattice give tied optima
+    rng = np.random.default_rng(seed)
+    dets = []
+    for t, k in enumerate(per_frame):
+        for _ in range(k):
+            x, y = rng.uniform(0, SIZE, 2)
+            if lattice:
+                x, y = np.rint(x / 3), np.rint(y / 3)
+            dets.append(Detection(t, float(x), float(y), float(rng.uniform(0.2, 1.0))))
+    dets = dets[:10]
+    p = EdgeCostParams(sigma_t=float(rng.uniform(0, 1)), sigma_d=float(rng.uniform(0.05, 0.4)),
+                       sigma_m=float(rng.uniform(0, 0.4)), max_gap=max_gap,
+                       entry_cost=float(rng.uniform(0, 0.6)), exit_cost=float(rng.uniform(0, 0.6)))
+    g = build_graph(dets, None, p)
+    _, cost = solve_ssp_detailed(g)
+    _, optimum = brute_force_detailed(g)
+    assert abs(cost - optimum) <= 1e-9

@@ -8,9 +8,12 @@ from groundflow.core import GroundGrid, Heatmap
 from groundflow.errors import DimensionMismatch
 from groundflow.warp import (
     ReconstructionConfig,
+    WarpPlan,
+    grad_offsets_with_plan,
     reconstruct,
     reconstruct_backward,
     reconstruct_dense,
+    reconstruct_with_plan,
     smoothed_target,
     weight,
 )
@@ -233,3 +236,12 @@ class TestReconstructBackward:
         with pytest.raises(DimensionMismatch):
             reconstruct_backward(np.zeros((4, 4)), (np.zeros((4, 4)), np.zeros((4, 4))),
                                  ReconstructionConfig(1.0, 9), np.zeros((5, 4)))
+
+    def test_offset_gradient_needs_the_forward_pass_at_its_lambda(self):
+        plan = WarpPlan(_peak(6, 6, 2, 3), 9)
+        zeros = np.zeros((6, 6))
+        cache: dict = {}
+        reconstruct_with_plan(plan, zeros, zeros, 2.0, cache)
+        for lam, forward in ((5.0, cache), (2.0, {})):
+            with pytest.raises(ValueError):
+                grad_offsets_with_plan(plan, np.ones((6, 6)), lam, forward)
