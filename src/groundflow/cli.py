@@ -86,6 +86,7 @@ def load_experiment_config(path: str | None, seed_override: int | None = None) -
     kv = io.read_kv(path) if path else {}
     used: set = set()
     _g = partial(_get, kv, used=used)
+    seed = _g("scene.seed", int, 0)   # read either way, so the key counts as known
     grid = GroundGrid(
         _g("scene.width", int, 64),
         _g("scene.height", int, 64),
@@ -103,7 +104,7 @@ def load_experiment_config(path: str | None, seed_override: int | None = None) -
         jitter_sigma_cells=_g("scene.jitter_sigma", float, 0.15),
         gaussian_sigma_cells=_g("scene.gaussian_sigma", float, 1.0),
         gaussian_radius_cells=_g("scene.gaussian_radius", float, 3.0),
-        seed=seed_override if seed_override is not None else _g("scene.seed", int, 0),
+        seed=seed_override if seed_override is not None else seed,
     )
     schedule = LambdaSchedule(
         init=_g("fit.schedule_init", float, 0.8),
@@ -198,6 +199,8 @@ def _scene_meta(scene: SceneConfig) -> dict:
 def load_scene_dir(scene_dir: str, stride: int):
     """A scene directory's config, truth and detections, with every
     stride-th frame kept."""
+    if stride < 1:
+        raise ConfigError(f"--stride must be >= 1, not {stride}")
     meta = Path(scene_dir) / "meta.cfg"
     if not meta.exists():
         raise ConfigError(f"{scene_dir}: missing meta.cfg (not a scene directory?)")

@@ -324,7 +324,8 @@ def associate_hungarian(dets_t, dets_t1, cost: np.ndarray | None = None,
     cost = np.asarray(cost, dtype=np.float64)
     work = np.where(cost > cutoff, _FORBIDDEN, cost)
     rows, cols = linear_sum_assignment(work)
-    return [(int(r), int(c)) for r, c in zip(rows, cols) if cost[r, c] <= cutoff]
+    keep = cost[rows, cols] <= cutoff
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
 @dataclass(frozen=True)
@@ -390,6 +391,53 @@ def kalman_update(s: KalmanState, pos, meas_noise: float = 0.25) -> KalmanState:
     cov = (np.eye(4) - K @ H) @ s.cov
     cov = 0.5 * (cov + cov.T)
     return KalmanState._from_filter(mean, cov)
+
+
+def _swap(m: np.ndarray) -> np.ndarray:
+    """Transpose each matrix of a stack."""
+    return m.swapaxes(-1, -2)
+
+
+def kalman_predict_batch(means: np.ndarray, covs: np.ndarray, dts: np.ndarray,
+                         process_noise: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+    """`kalman_predict` of every row of (T, 4) means and (T, 4, 4)
+    covariances, row t by dts[t]. The same matmuls run on the stack, so
+    each row equals the scalar call bit for bit."""
+    dts = np.asarray(dts, dtype=np.float64)
+    F = np.tile(np.eye(4), (len(dts), 1, 1))
+    F[:, 0, 2] = dts
+    F[:, 1, 3] = dts
+    mean = (F @ means[:, :, None])[:, :, 0]
+    cov = F @ covs @ _swap(F) + (process_noise * dts)[:, None, None] * np.eye(4)
+    cov = 0.5 * (cov + _swap(cov))
+    return mean, cov
+
+
+def kalman_update_batch(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
+                        meas_noise: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
+    """`kalman_update` of every row of (T, 4) means and (T, 4, 4)
+    covariances by the (T, 2) positions zs, bit for bit as the scalar
+    call."""
+    H = np.zeros((2, 4))
+    H[0, 0] = 1.0
+    H[1, 1] = 1.0
+    S = H @ covs @ H.T + meas_noise * np.eye(2)
+    K = _swap(np.linalg.solve(_swap(S), _swap(covs @ H.T)))
+    mean = means + (K @ (zs - (H @ means[:, :, None])[:, :, 0])[:, :, None])[:, :, 0]
+    cov = (np.eye(4) - K @ H) @ covs
+    cov = 0.5 * (cov + _swap(cov))
+    return mean, cov
+
+
+def _step_filters(tracks: list, step, *args) -> np.ndarray:
+    """Run the filters of `tracks` through one batched step (`step` is
+    kalman_predict_batch or kalman_update_batch); track t gets row t.
+    Returns the stepped means."""
+    means, covs = step(np.array([tr.kalman.mean for tr in tracks]),
+                       np.array([tr.kalman.cov for tr in tracks]), *args)
+    for tr, mean, cov in zip(tracks, means, covs):
+        tr.kalman = KalmanState._from_filter(mean, cov)
+    return means
 
 
 @dataclass(frozen=True)
@@ -459,6 +507,13 @@ def associate_two_stage(tracks: list[OnlineTrack], detections: list[Detection],
     motion-extrapolated track heads by IoU of side-length squares;
     stage 2 offers the leftovers the low-confidence detections. Returns
     the surviving tracks and the next unused track id.
+
+    The heads are extrapolated all at once: with Kalman motion one
+    `kalman_predict_batch` over every track that has a filter, with
+    learned motion one sampling of the field per component. After the
+    matching, one `kalman_update_batch` updates every matched track
+    that has a filter. Both steps equal the per-track
+    `kalman_predict`/`kalman_update` bit for bit.
     """
     if motion_source not in MOTION_SOURCES:
         raise ValueError(f"motion_source must be one of {MOTION_SOURCES}")
@@ -467,18 +522,19 @@ def associate_two_stage(tracks: list[OnlineTrack], detections: list[Detection],
             raise ValueError("frame index required when the detection list is empty")
         frame = detections[0].time
 
-    predicted: list[tuple[float, float]] = []
-    for tr in tracks:
-        gap = frame - tr.last_time
-        x, y = tr.pos
-        if motion_source == "kalman" and tr.kalman is not None:
-            tr.kalman = kalman_predict(tr.kalman, float(gap), cfg.process_noise)
-            predicted.append(tr.kalman.pos)
-        elif motion_source == "learned-offset":
-            ox, oy = sample_offset(fwd_field, x, y)
-            predicted.append((x + gap * ox, y + gap * oy))
-        else:
-            predicted.append((x, y))
+    # track heads extrapolated to this frame, one row per track
+    predicted = np.array([tr.pos for tr in tracks], dtype=np.float64).reshape(-1, 2)
+    gaps = np.array([frame - tr.last_time for tr in tracks], dtype=np.int64)
+    if motion_source == "kalman":
+        kal = [i for i, tr in enumerate(tracks) if tr.kalman is not None]
+        if kal:
+            means = _step_filters([tracks[i] for i in kal], kalman_predict_batch,
+                                  gaps[kal], cfg.process_noise)
+            predicted[kal] = means[:, :2]
+    elif motion_source == "learned-offset" and fwd_field is not None:
+        xs, ys = predicted[:, 0], predicted[:, 1]
+        predicted = np.column_stack([xs + gaps * bilinear_sample(fwd_field.dx, xs, ys),
+                                     ys + gaps * bilinear_sample(fwd_field.dy, xs, ys)])
 
     high = [d for d in detections if d.confidence >= conf_split]
     low = [d for d in detections if d.confidence < conf_split]
@@ -486,7 +542,7 @@ def associate_two_stage(tracks: list[OnlineTrack], detections: list[Detection],
     def match(track_ids: list[int], dets: list[Detection]) -> tuple[dict[int, Detection], set[int]]:
         if not track_ids or not dets:
             return {}, set()
-        cost = _square_iou_cost(np.array([predicted[ti] for ti in track_ids]),
+        cost = _square_iou_cost(predicted[track_ids],
                                 np.array([(d.x, d.y) for d in dets]), cfg.box_side)
         pairs = associate_hungarian(
             [tracks[t] for t in track_ids], dets, cost=cost,
@@ -503,6 +559,7 @@ def associate_two_stage(tracks: list[OnlineTrack], detections: list[Detection],
     assigned = {**assigned1, **assigned2}
 
     survivors: list[OnlineTrack] = []
+    measured: list[OnlineTrack] = []
     for i, tr in enumerate(tracks):
         det = assigned.get(i)
         if det is not None:
@@ -510,12 +567,15 @@ def associate_two_stage(tracks: list[OnlineTrack], detections: list[Detection],
             tr.last_time = det.time
             tr.misses = 0
             if tr.kalman is not None:
-                tr.kalman = kalman_update(tr.kalman, (det.x, det.y), cfg.meas_noise)
+                measured.append(tr)
             survivors.append(tr)
         else:
             tr.misses += 1
             if tr.misses <= cfg.max_age:
                 survivors.append(tr)
+    if measured:
+        zs = np.array([tr.pos for tr in measured], dtype=np.float64)
+        _step_filters(measured, kalman_update_batch, zs, cfg.meas_noise)
 
     for d in high:
         if id(d) not in used1:
@@ -530,7 +590,9 @@ def run_two_stage(frames: list[list[Detection]], motion_source: str,
     """Run the two-stage tracker over a detection sequence.
 
     Tracks are mutated in place, so an archive of every track ever
-    created yields the full output including terminated ones.
+    created yields the full output including terminated ones. Each
+    frame steps the filters of all its live tracks as one array
+    operation (see `associate_two_stage`).
     """
     active: list[OnlineTrack] = []
     archive: dict[int, OnlineTrack] = {}

@@ -85,6 +85,11 @@ class TestSimulate:
         rc = _run("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
         assert rc == 2
 
+    def test_seed_override_wins_over_config_seed(self, tiny_cfg, tmp_path):
+        out = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--seed", "3", "--out", str(out)) == 0
+        assert io.read_kv(out / "meta.cfg")["scene.seed"] == "3"
+
     def test_byte_identical_reruns(self, tiny_cfg, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -145,6 +150,17 @@ class TestFitTrack:
         rc = _run("fit", "--scene", str(scene), "--out", str(tmp_path / "f"), "--config", tiny_cfg)
         assert rc == 2
         assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("stride", ["0", "-4"])
+    @pytest.mark.parametrize("command", [("fit",), ("track", "--mode", "mussp")],
+                             ids=["fit", "track"])
+    def test_stride_below_one_is_config_error(self, tiny_cfg, tmp_path, command, stride):
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        out = tmp_path / "o"
+        rc = _run(*command, "--scene", str(scene), "--out", str(out), "--stride", stride)
+        assert rc == 2
+        assert not out.exists()
 
     def test_unknown_mode_is_usage_error(self, tiny_cfg, tmp_path):
         scene = tmp_path / "scene"

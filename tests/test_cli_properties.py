@@ -1,0 +1,69 @@
+"""Property-based checks of the config loader: every key it knows is
+accepted, and any other key is rejected."""
+import string
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from groundflow import io  # noqa: E402
+from groundflow.cli import load_experiment_config  # noqa: E402
+from groundflow.errors import ConfigError  # noqa: E402
+
+# every key load_experiment_config reads, with its default value
+KNOWN = {
+    "scene.width": "64", "scene.height": "64", "scene.cell_size": "0.2",
+    "scene.num_agents": "8", "scene.num_frames": "30",
+    "scene.speed_min": "0.8", "scene.speed_max": "1.8", "scene.turn_sigma": "0.25",
+    "scene.miss_rate": "0.03", "scene.fp_rate": "0.3", "scene.jitter_sigma": "0.15",
+    "scene.gaussian_sigma": "1.0", "scene.gaussian_radius": "3.0", "scene.seed": "0",
+    "fit.schedule_init": "0.8", "fit.schedule_increment": "0.08", "fit.schedule_cap": "5.0",
+    "fit.lambda_fb": "0.05", "fit.lambda_se": "1.0", "fit.epochs": "80",
+    "fit.learning_rate": "0.25", "fit.window": "21", "fit.se_radius": "3.0",
+    "edges.sigma_t": "0.5", "edges.sigma_d": "0.15", "edges.sigma_m": "0.15",
+    "edges.max_gap": "3", "edges.entry_cost": "0.2", "edges.exit_cost": "0.2",
+    "edges.obs_cost_scale": "1.0",
+    "track.box_side": "5.0", "track.iou_threshold": "0.1", "track.max_age": "3",
+    "track.dist_threshold": "2.5",
+    "sweep.strides": "1,3,5", "sweep.modes": "mussp,mussp-nomotion,bytestyle-kalman,bytestyle-offset",
+    "sweep.seeds": "0",
+}
+DEFAULT = load_experiment_config(None)
+
+known_key = st.sampled_from(sorted(KNOWN))
+# random names, and near misses of known keys: a character more or less,
+# or a known leaf under another section
+unknown_key = st.one_of(
+    st.text(string.ascii_lowercase + string.digits + "._-", min_size=1, max_size=24),
+    st.builds(lambda k, c: k + c, known_key, st.sampled_from("s_0.")),
+    known_key.map(lambda k: k[:-1]),
+    st.builds(lambda a, b: a.split(".")[0] + "." + b.split(".")[1], known_key, known_key),
+).filter(lambda k: k not in KNOWN)
+seed_override = st.none() | st.integers(0, 2**31 - 1)
+
+
+def _write(tmp_path_factory, keys) -> str:
+    path = tmp_path_factory.mktemp("cfg") / "x.cfg"
+    io.write_kv(path, {k: KNOWN.get(k, "1") for k in keys})
+    return str(path)
+
+
+@pytest.mark.parametrize("key", sorted(KNOWN))
+def test_each_known_key_alone_is_accepted(tmp_path_factory, key):
+    assert load_experiment_config(_write(tmp_path_factory, [key])) == DEFAULT
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(keys=st.sets(known_key), seed=seed_override)
+def test_known_keys_are_accepted(tmp_path_factory, keys, seed):
+    cfg = load_experiment_config(_write(tmp_path_factory, keys), seed)
+    assert cfg.scene.seed == (0 if seed is None else seed)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bad=unknown_key, keys=st.sets(known_key, max_size=6), seed=seed_override)
+def test_any_unknown_key_is_rejected(tmp_path_factory, bad, keys, seed):
+    with pytest.raises(ConfigError, match="unknown config key") as exc:
+        load_experiment_config(_write(tmp_path_factory, keys | {bad}), seed)
+    assert bad in str(exc.value)

@@ -355,6 +355,29 @@ class TestTwoStage:
         out, _ = associate_two_stage(tracks, dets, "none", 0.5, cfg=cfg)
         assert out[0].points[-1] == (1, 10.5, 10.0)
 
+    def test_tracks_with_and_without_a_filter_mix(self):
+        cfg = TwoStageConfig(box_side=5.0)
+        a = OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=True)
+        b = OnlineTrack(1, Detection(0, 30.0, 30.0, 0.9), cfg, use_kalman=False)
+        c = OnlineTrack(2, Detection(0, 50.0, 50.0, 0.9), cfg, use_kalman=True)
+        a0, c0 = a.kalman, c.kalman
+        dets = [Detection(2, 11.0, 10.5, 0.95), Detection(2, 30.5, 29.0, 0.3)]
+        out, next_id = associate_two_stage([a, b, c], dets, "kalman", 0.5, cfg=cfg)
+        assert out == [a, b, c] and next_id == 0
+        assert b.kalman is None and b.points[-1] == (2, 30.5, 29.0)
+        # the matched filter is predicted over the gap of 2 and updated,
+        # the missed one only predicted
+        want = kalman_update(kalman_predict(a0, 2.0, cfg.process_noise), (11.0, 10.5),
+                             cfg.meas_noise)
+        assert np.array_equal(a.kalman.mean, want.mean) and np.array_equal(a.kalman.cov, want.cov)
+        want = kalman_predict(c0, 2.0, cfg.process_noise)
+        assert np.array_equal(c.kalman.mean, want.mean) and np.array_equal(c.kalman.cov, want.cov)
+        # without Kalman motion a matched filter is updated but not predicted
+        a1 = a.kalman
+        associate_two_stage([a, b], [Detection(3, 11.5, 10.5, 0.9)], "none", 0.5, cfg=cfg)
+        want = kalman_update(a1, (11.5, 10.5), cfg.meas_noise)
+        assert np.array_equal(a.kalman.mean, want.mean) and np.array_equal(a.kalman.cov, want.cov)
+
     def test_iou_cost_matrix_equals_pairwise_iou(self):
         rng = np.random.default_rng(11)
         for side in (0.0, 1.0, 5.0, 2.7):

@@ -1,5 +1,6 @@
 """Property-based checks of the vectorized graph build against the
-per-arc definition of the transition cost."""
+per-arc definition of the transition cost, and of the batched Kalman
+steps against the per-track ones."""
 import numpy as np
 import pytest
 
@@ -9,9 +10,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from groundflow.core import Detection, GroundGrid, OffsetField  # noqa: E402
 from groundflow.track import (  # noqa: E402
     EdgeCostParams,
+    KalmanState,
     brute_force_detailed,
     build_graph,
     edge_cost,
+    kalman_predict,
+    kalman_predict_batch,
+    kalman_update,
+    kalman_update_batch,
     sample_offset,
     solve_ssp_detailed,
 )
@@ -100,3 +106,34 @@ def test_solver_cost_equals_brute_force(seed, per_frame, max_gap, lattice):
     _, cost = solve_ssp_detailed(g)
     _, optimum = brute_force_detailed(g)
     assert abs(cost - optimum) <= 1e-9
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 60),
+    process_noise=st.floats(0, 1),
+    meas_noise=st.floats(0, 2),
+)
+def test_batched_kalman_steps_equal_the_scalar_ones(seed, size, process_noise, meas_noise):
+    # random SPD covariances of varied scale; gaps 0..5, where 0 is a no-op
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0, rng.uniform(0.05, 10), (size, 4, 4))
+    covs = a @ a.swapaxes(1, 2) + 1e-3 * np.eye(4)
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    means = rng.normal(0, 50, (size, 4))
+    gaps = rng.integers(0, 6, size)
+    zs = rng.normal(0, 50, (size, 2))
+    pm, pc = kalman_predict_batch(means, covs, gaps, process_noise)
+    um, uc = kalman_update_batch(pm, pc, zs, meas_noise)
+    for t in range(size):
+        s = kalman_predict(KalmanState(means[t], covs[t]), float(gaps[t]), process_noise)
+        assert _same_bits(pm[t], s.mean) and _same_bits(pc[t], s.cov)
+        if gaps[t] == 0:
+            assert np.array_equal(pm[t], means[t]) and np.array_equal(pc[t], covs[t])
+        s = kalman_update(s, (zs[t, 0], zs[t, 1]), meas_noise)
+        assert _same_bits(um[t], s.mean) and _same_bits(uc[t], s.cov)
