@@ -7,7 +7,11 @@ no motion annotations enter anywhere, the warp consistency term alone
 has to discover the motion.
 
 Pairs are independent of one another, and the lambda_r
-schedule advances once per epoch. The fitted fields are clamped
+schedule advances once per epoch. Each pair fit owns one WarpWorkspace,
+sized once for its larger heatmap at the first epoch's block radius;
+both warp directions and the smoothed targets reuse its buffers every
+epoch, and it is dropped when the pair is done, so no state passes from
+one pair to the next. The fitted fields are clamped
 per-component to the window radius, which bounds the motion one pair
 can express. The clamp does not make the windowed forward pass exact:
 the warp operator's lambda_r-sized blocks do, since they follow the
@@ -30,7 +34,7 @@ from .losses import (
     schedule_step,
     se_neighborhoods,
 )
-from .warp import ReconstructionConfig, WarpPlan, smoothed_target
+from .warp import ReconstructionConfig, WarpPlan, WarpWorkspace, block_radius, smoothed_target
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,9 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
         grid = GroundGrid(w, h)
     plan_t = WarpPlan(x_t, cfg.window_cells)
     plan_t1 = WarpPlan(x_t1, cfg.window_cells)
+    # lambda_r only rises, so the first epoch's block radius is the largest
+    k = 2 * block_radius(cfg.schedule.current, cfg.window_cells) + 1
+    workspace = WarpWorkspace(max(plan_t.num_sources, plan_t1.num_sources) * k * k)
     hoods = (
         se_neighborhoods(x_t.shape, pair.points_t, cfg.se_radius),
         se_neighborhoods(x_t.shape, pair.points_t1, cfg.se_radius),
@@ -148,13 +155,13 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
         # the smoothed targets depend on lambda_r only, so once the
         # schedule sits at its cap they are reused as they are
         if rcfg.lambda_r != targets_lambda:
-            targets = (smoothed_target(x_t1, rcfg, plan=plan_t1),
-                       smoothed_target(x_t, rcfg, plan=plan_t))
+            targets = (smoothed_target(x_t1, rcfg, plan=plan_t1, workspace=workspace),
+                       smoothed_target(x_t, rcfg, plan=plan_t, workspace=workspace))
             targets_lambda = rcfg.lambda_r
         out = loss_total(
             x_t, x_t1, (fdx, fdy), (bdx, bdy), pair.points_t, pair.points_t1,
             rcfg, cfg.weights, cfg.se_radius,
-            plans=(plan_t, plan_t1), hoods=hoods, targets=targets,
+            plans=(plan_t, plan_t1), hoods=hoods, targets=targets, workspace=workspace,
         )
         if not np.isfinite(out.total):
             raise Divergence(

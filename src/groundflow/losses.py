@@ -24,6 +24,7 @@ from .errors import DimensionMismatch
 from .warp import (
     ReconstructionConfig,
     WarpPlan,
+    WarpWorkspace,
     grad_offsets_with_plan,
     reconstruct_with_plan,
     smoothed_target,
@@ -266,7 +267,8 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
                cfg: ReconstructionConfig, weights: LossWeights, se_radius: float,
                plans: tuple[WarpPlan, WarpPlan] | None = None,
                hoods: tuple[list, list] | None = None,
-               targets: tuple[np.ndarray, np.ndarray] | None = None) -> TotalLoss:
+               targets: tuple[np.ndarray, np.ndarray] | None = None,
+               workspace: WarpWorkspace | None = None) -> TotalLoss:
     """Composite loss of a frame pair with gradients wrt both offset fields.
 
     The heatmaps are fixed inputs here (the offset fields are the free
@@ -279,7 +281,9 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
     fields once, anchored at the forward one.
 
     `targets` may carry the precomputed smoothed targets of the forward
-    and the backward motion term: (smoothed x_t1, smoothed x_t).
+    and the backward motion term: (smoothed x_t1, smoothed x_t). Both
+    warp directions run in `workspace` (a fresh one if None), each
+    direction's gradient before the other direction's forward pass.
     """
     xt = _values_of(x_t)
     xt1 = _values_of(x_t1)
@@ -296,19 +300,24 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
             se_neighborhoods(xt.shape, points_t1, se_radius),
         )
     hoods_t, hoods_t1 = hoods
+    if workspace is None:
+        workspace = WarpWorkspace()
 
     if targets is None:
-        targets = (smoothed_target(xt1, cfg, plan=plan_t1), smoothed_target(xt, cfg, plan=plan_t))
+        targets = (smoothed_target(xt1, cfg, plan=plan_t1, workspace=workspace),
+                   smoothed_target(xt, cfg, plan=plan_t, workspace=workspace))
     target_fwd, target_bwd = targets
 
     cache_f: dict = {}
-    xhat_f = reconstruct_with_plan(plan_t, fdx, fdy, cfg.lambda_r, cache=cache_f)
+    xhat_f = reconstruct_with_plan(plan_t, fdx, fdy, cfg.lambda_r, cache=cache_f,
+                                   workspace=workspace)
     res_f = xhat_f - target_fwd
     l_mot_f = float((res_f * res_f).sum())
     gf_dx, gf_dy = grad_offsets_with_plan(plan_t, 2.0 * res_f, cfg.lambda_r, cache=cache_f)
 
     cache_b: dict = {}
-    xhat_b = reconstruct_with_plan(plan_t1, bdx, bdy, cfg.lambda_r, cache=cache_b)
+    xhat_b = reconstruct_with_plan(plan_t1, bdx, bdy, cfg.lambda_r, cache=cache_b,
+                                   workspace=workspace)
     res_b = xhat_b - target_bwd
     l_mot_b = float((res_b * res_b).sum())
     gb_dx, gb_dy = grad_offsets_with_plan(plan_t1, 2.0 * res_b, cfg.lambda_r, cache=cache_b)

@@ -11,6 +11,14 @@ below the cap the block follows the source to any offset, so the
 windowed pass equals the dense sum up to weights below EPSILON. The
 dense path is the O(N^2) oracle used for verification.
 
+Every S x (2R + 1)^2 step (S nonzero sources) writes into the prefix
+views of a WarpWorkspace, so a fit that keeps one workspace allocates
+them once instead of once per pass. The caller owns the workspace; the
+public one-shot functions use a throwaway one. A forward pass with a
+cache leaves its distances, weights and block indices in the workspace
+for the offset gradient, and the cache stays valid only until the next
+pass through the same workspace.
+
 Bit-reproducibility: each output cell accumulates its block
 contributions in row-major source order regardless of how the work is
 batched, so results are identical across runs and worker counts.
@@ -24,6 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,13 +104,14 @@ def weight(l, lambda_r: float):
     return out
 
 
-def _weights_from_l(l: np.ndarray, lambda_r: float) -> np.ndarray:
+def _weights_from_l(l: np.ndarray, lambda_r: float, out: np.ndarray | None = None) -> np.ndarray:
     """W evaluated from distances; shared by every reconstruction path.
 
     Distances at or beyond the exponent clamp give the saturated weight
-    1 / (1 + exp(EXP_CLAMP)). A NaN distance gives a NaN weight.
+    1 / (1 + exp(EXP_CLAMP)). A NaN distance gives a NaN weight. The
+    weights go to `out` when given.
     """
-    t = l * (4.0 * lambda_r)
+    t = np.multiply(l, 4.0 * lambda_r, out=out)
     t -= 10.0
     np.minimum(t, EXP_CLAMP, out=t)
     np.exp(t, out=t)
@@ -128,8 +138,10 @@ class WarpPlan:
     window that caps every block's radius.
 
     The block layout depends on the offsets and on lambda_r, so each pass
-    computes its own (see _block_distances); a plan only saves finding the
-    sources again when the same heatmap is warped repeatedly.
+    computes its own (see _block_distances) into a WarpWorkspace that the
+    caller owns. A plan holds no buffers: it saves finding the sources
+    again when the same heatmap is warped repeatedly, and one workspace
+    serves any number of plans.
     """
 
     def __init__(self, values: np.ndarray, window_cells: int):
@@ -148,18 +160,61 @@ class WarpPlan:
         return self.vals.size
 
 
-def _flat_blocks(by: np.ndarray, bx: np.ndarray, r: int, w: int) -> tuple[np.ndarray, int]:
+class _Blocks(NamedTuple):
+    """(S, K, K) views of a workspace's buffers for one pass."""
+
+    l: np.ndarray      # distances
+    wb: np.ndarray     # weights
+    a: np.ndarray      # scratch: contributions, then W' and 1/l
+    b: np.ndarray      # scratch: the gathered upstream gradient
+    idx: np.ndarray    # flat padded block indices (int64)
+    mask: np.ndarray   # scratch: where 1/l is defined (bool)
+
+
+# buffer dtypes of a workspace, in the field order of _Blocks
+_BLOCK_DTYPES = (np.float64,) * 4 + (np.int64, np.bool_)
+
+
+class WarpWorkspace:
+    """Reusable buffers for the S x K x K steps of the windowed warp.
+
+    Four float64 buffers, one int64 index buffer and one bool mask, each
+    flat and `size` elements long to begin with. A pass over S sources
+    with blocks K cells wide uses their (S, K, K) prefix views and grows
+    the buffers first when they are too small, so a workspace sized for
+    the largest pass of a fit serves every smaller one. Each pass that
+    fills the buffers takes ownership of them (see claim); a forward
+    cache holds the owner it was given, and the offset gradient refuses a
+    cache whose pass no longer owns them.
+    """
+
+    def __init__(self, size: int = 0):
+        self.owner = 0
+        self._bufs = tuple(np.empty(size, dtype=t) for t in _BLOCK_DTYPES)
+
+    def claim(self, s: int, k: int) -> _Blocks:
+        """(s, k, k) views of the buffers for a new pass, which now owns them."""
+        n = s * k * k
+        if n > self._bufs[0].size:
+            self._bufs = tuple(np.empty(n, dtype=t) for t in _BLOCK_DTYPES)
+        self.owner += 1
+        return _Blocks(*(buf[:n].reshape(s, k, k) for buf in self._bufs))
+
+
+def _flat_blocks(by: np.ndarray, bx: np.ndarray, r: int, w: int, out: np.ndarray) -> int:
     """Flat indices of the radius-r blocks centred on (by, bx), in a grid of
-    width w padded by 2r + 1 cells on every side; returns (idx, pad)."""
+    width w padded by 2r + 1 cells on every side, written to the (S, K, K)
+    `out`; returns the padding."""
     pad = 2 * r + 1
     wp = w + 2 * pad
     off = np.arange(-r, r + 1, dtype=np.int64)
     rel = off[:, None] * wp + off[None, :]
-    idx = ((by + pad) * wp + (bx + pad))[:, None, None] + rel[None, :, :]
-    return idx.ravel(), pad
+    np.add(((by + pad) * wp + (bx + pad))[:, None, None], rel[None, :, :], out=out)
+    return pad
 
 
-def _block_distances(ys: np.ndarray, xs: np.ndarray, dx: np.ndarray, dy: np.ndarray, r: int):
+def _block_distances(ys: np.ndarray, xs: np.ndarray, dx: np.ndarray, dy: np.ndarray, r: int,
+                     blocks: _Blocks) -> tuple[int, np.ndarray, np.ndarray]:
     """Radius-r blocks of the sources (ys, xs) displaced by the offset field.
 
     Each block is centred on the cell nearest the displaced source, clipped
@@ -167,9 +222,9 @@ def _block_distances(ys: np.ndarray, xs: np.ndarray, dx: np.ndarray, dy: np.ndar
     padding, where the source's weights are below EPSILON anyway, and the
     padding stays bounded for any offset. A non-finite offset keeps its
     block on the source and makes its distances NaN, so the output is NaN
-    there. Returns (idx, pad, dxb, dyb, l): flat padded indices (see
-    _flat_blocks), the (S, K) coordinate differences j - c per axis and
-    the (S, K, K) distances.
+    there. Writes the (S, K, K) distances to blocks.l and the flat padded
+    indices (see _flat_blocks) to blocks.idx. Returns (pad, dxb, dyb), with
+    the (S, K) coordinate differences j - c per axis.
     """
     h, w = dx.shape
     cx = xs + dx[ys, xs]
@@ -187,15 +242,15 @@ def _block_distances(ys: np.ndarray, xs: np.ndarray, dx: np.ndarray, dy: np.ndar
     off = np.arange(-r, r + 1, dtype=np.int64)
     dxb = (bx[:, None] + off[None, :]).astype(np.float64) - cx[:, None]  # (S, K)
     dyb = (by[:, None] + off[None, :]).astype(np.float64) - cy[:, None]
-    d2 = (dxb * dxb)[:, None, :] + (dyb * dyb)[:, :, None]  # (S, K, K)
-    l = np.sqrt(d2, out=d2)
-    idx, pad = _flat_blocks(by, bx, r, w)
-    return idx, pad, dxb, dyb, l
+    l = np.add((dxb * dxb)[:, None, :], (dyb * dyb)[:, :, None], out=blocks.l)
+    np.sqrt(l, out=l)
+    pad = _flat_blocks(by, bx, r, w, blocks.idx)
+    return pad, dxb, dyb
 
 
 def _scatter(h: int, w: int, pad: int, idx: np.ndarray, contrib: np.ndarray) -> np.ndarray:
     hp, wp = h + 2 * pad, w + 2 * pad
-    padded = np.bincount(idx, weights=contrib.ravel(), minlength=hp * wp)
+    padded = np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=hp * wp)
     return np.ascontiguousarray(padded.reshape(hp, wp)[pad:pad + h, pad:pad + w])
 
 
@@ -207,21 +262,28 @@ def _padded_flat(a: np.ndarray, pad: int) -> np.ndarray:
 
 
 def reconstruct_with_plan(plan: WarpPlan, dx: np.ndarray, dy: np.ndarray,
-                          lambda_r: float, cache: dict | None = None) -> np.ndarray:
+                          lambda_r: float, cache: dict | None = None,
+                          workspace: WarpWorkspace | None = None) -> np.ndarray:
     """Windowed forward pass using a prebuilt plan; returns an (h, w) array.
 
-    If `cache` is a dict, the block layout, distances and weights are
-    stored in it for reuse by the backward pass.
+    The S x K x K steps run in `workspace`, or in a throwaway one. If
+    `cache` is a dict, the pass records in it where its block layout,
+    distances and weights are, for the backward pass; they stay there
+    until the next pass through the same workspace.
     """
     if plan.num_sources == 0:
         return np.zeros((plan.h, plan.w))
-    idx, pad, dxb, dyb, l = _block_distances(plan.ys, plan.xs, dx, dy,
-                                             block_radius(lambda_r, plan.window))
-    wb = _weights_from_l(l, lambda_r)
-    contrib = plan.vals[:, None, None] * wb
+    if workspace is None:
+        workspace = WarpWorkspace()
+    r = block_radius(lambda_r, plan.window)
+    blocks = workspace.claim(plan.num_sources, 2 * r + 1)
+    pad, dxb, dyb = _block_distances(plan.ys, plan.xs, dx, dy, r, blocks)
+    wb = _weights_from_l(blocks.l, lambda_r, out=blocks.wb)
+    contrib = np.multiply(plan.vals[:, None, None], wb, out=blocks.a)
     if cache is not None:
-        cache.update(idx=idx, pad=pad, dxb=dxb, dyb=dyb, l=l, wb=wb, lambda_r=lambda_r)
-    return _scatter(plan.h, plan.w, pad, idx, contrib)
+        cache.update(blocks=blocks, pad=pad, dxb=dxb, dyb=dyb, lambda_r=lambda_r,
+                     workspace=workspace, owner=workspace.owner)
+    return _scatter(plan.h, plan.w, pad, blocks.idx, contrib)
 
 
 @lru_cache(maxsize=256)
@@ -235,20 +297,25 @@ def _zero_offset_kernel(lambda_r: float, r: int) -> np.ndarray:
     return kernel
 
 
-def reconstruct_zero_offset(plan: WarpPlan, lambda_r: float) -> np.ndarray:
+def reconstruct_zero_offset(plan: WarpPlan, lambda_r: float,
+                            workspace: WarpWorkspace | None = None) -> np.ndarray:
     """Forward pass with identically zero offsets (shared radial kernel).
 
     Bitwise identical to reconstruct_with_plan with zero offset arrays:
     with delta = 0 every block is centred on its source and its weights
-    are the same function of the integer block offsets.
+    are the same function of the integer block offsets. Runs in
+    `workspace`, or in a throwaway one.
     """
     if plan.num_sources == 0:
         return np.zeros((plan.h, plan.w))
+    if workspace is None:
+        workspace = WarpWorkspace()
     r = block_radius(lambda_r, plan.window)
     kernel = _zero_offset_kernel(float(lambda_r), r)
-    idx, pad = _flat_blocks(plan.ys, plan.xs, r, plan.w)
-    contrib = plan.vals[:, None, None] * kernel[None, :, :]
-    return _scatter(plan.h, plan.w, pad, idx, contrib)
+    blocks = workspace.claim(plan.num_sources, 2 * r + 1)
+    pad = _flat_blocks(plan.ys, plan.xs, r, plan.w, blocks.idx)
+    contrib = np.multiply(plan.vals[:, None, None], kernel[None, :, :], out=blocks.a)
+    return _scatter(plan.h, plan.w, pad, blocks.idx, contrib)
 
 
 def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float,
@@ -256,10 +323,12 @@ def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float
     """d(loss)/d(offset components), supported on the plan's source cells.
 
     `cache` is the dict that reconstruct_with_plan filled on the forward
-    pass at this lambda_r. The offset gradient is
+    pass at this lambda_r; no other pass may have gone through its
+    workspace since. The offset gradient is
     x_i * sum_j upstream_j * W'(l) * (-(j - c_i) / l) with
     W'(l) = -4 * lambda_r * W * (1 - W); the direction factor is defined
-    as zero where l < 1e-8.
+    as zero where l < 1e-8. The pass uses the workspace's scratch buffers
+    and leaves the cached distances, weights and indices as they are.
     """
     g_dx = np.zeros((plan.h, plan.w))
     g_dy = np.zeros((plan.h, plan.w))
@@ -267,17 +336,21 @@ def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float
         return g_dx, g_dy
     if cache.get("lambda_r") != lambda_r:
         raise ValueError("cache holds no forward pass of this plan at this lambda_r")
-    idx, pad = cache["idx"], cache["pad"]
-    dxb, dyb, l, wb = cache["dxb"], cache["dyb"], cache["l"], cache["wb"]
+    if cache["workspace"].owner != cache["owner"]:
+        raise ValueError("a later pass has overwritten the workspace of this forward pass")
+    blocks, pad = cache["blocks"], cache["pad"]
+    dxb, dyb, l, wb = cache["dxb"], cache["dyb"], blocks.l, blocks.wb
 
-    upb = _padded_flat(upstream, pad)[idx].reshape(wb.shape)
-
-    inv_l = np.zeros_like(l)
-    np.divide(1.0, l, out=inv_l, where=l >= 1e-8)
-    wprime = 1.0 - wb
+    wprime = np.subtract(1.0, wb, out=blocks.a)
     wprime *= wb
     wprime *= -4.0 * lambda_r
-    common = upb * wprime
+    # indices lie in the padded grid by construction, so clipping changes
+    # none; take with mode="raise" would buffer its output
+    common = np.take(_padded_flat(upstream, pad), blocks.idx, out=blocks.b, mode="clip")
+    common *= wprime
+    inv_l = blocks.a
+    inv_l.fill(0.0)
+    np.divide(1.0, l, out=inv_l, where=np.greater_equal(l, 1e-8, out=blocks.mask))
     common *= inv_l
     sx = -np.einsum("sab,sb->s", common, dxb)
     sy = -np.einsum("sab,sa->s", common, dyb)
@@ -296,11 +369,13 @@ def _grad_heatmap_full(values: np.ndarray, dx: np.ndarray, dy: np.ndarray,
     up_flat = _padded_flat(upstream, 2 * r + 1)
     out = np.empty(h * w)
     ys_all, xs_all = np.divmod(np.arange(h * w, dtype=np.int64), w)
+    workspace = WarpWorkspace()
     for s0 in range(0, h * w, chunk):
         s1 = min(s0 + chunk, h * w)
-        idx, _, _, _, l = _block_distances(ys_all[s0:s1], xs_all[s0:s1], dx, dy, r)
-        wb = _weights_from_l(l, cfg.lambda_r)
-        upb = up_flat[idx].reshape(wb.shape)
+        blocks = workspace.claim(s1 - s0, 2 * r + 1)
+        _block_distances(ys_all[s0:s1], xs_all[s0:s1], dx, dy, r, blocks)
+        wb = _weights_from_l(blocks.l, cfg.lambda_r, out=blocks.wb)
+        upb = np.take(up_flat, blocks.idx, out=blocks.b, mode="clip")
         out[s0:s1] = np.einsum("sab,sab->s", upb, wb)
     return out.reshape(h, w)
 
@@ -387,13 +462,14 @@ def reconstruct_backward(X, delta, cfg: ReconstructionConfig, upstream) -> WarpG
     return WarpGradients(d_heatmap=d_heatmap, d_offset_x=g_dx, d_offset_y=g_dy)
 
 
-def smoothed_target(X_gt, cfg: ReconstructionConfig,
-                    plan: WarpPlan | None = None) -> np.ndarray:
+def smoothed_target(X_gt, cfg: ReconstructionConfig, plan: WarpPlan | None = None,
+                    workspace: WarpWorkspace | None = None) -> np.ndarray:
     """Ground truth passed through the operator with zero offsets.
 
-    Gives targets the same lambda_r-dependent blur as predictions.
+    Gives targets the same lambda_r-dependent blur as predictions. Runs
+    in `workspace`, or in a throwaway one.
     """
     values = _values_of(X_gt)
     if plan is None:
         plan = WarpPlan(values, cfg.window_cells)
-    return reconstruct_zero_offset(plan, cfg.lambda_r)
+    return reconstruct_zero_offset(plan, cfg.lambda_r, workspace)

@@ -19,6 +19,13 @@ def _pairs_from_truth(truth, count=None):
     ]
 
 
+def _assert_same_bits(r1, r2):
+    for f1, f2 in ((r1.fwd, r2.fwd), (r1.bwd, r2.bwd)):
+        assert f1.dx.tobytes() == f2.dx.tobytes()
+        assert f1.dy.tobytes() == f2.dy.tobytes()
+    assert r1.trace == r2.trace
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_is_exact(self):
         def f(x):
@@ -114,13 +121,14 @@ class TestFitOffsets:
         a = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=1)
         b = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=1)
         c = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=2)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.fwd.dx, rb.fwd.dx)
-            assert np.array_equal(ra.bwd.dy, rb.bwd.dy)
-            assert ra.trace == rb.trace
-        for ra, rc in zip(a, c):
-            assert np.array_equal(ra.fwd.dx, rc.fwd.dx)
-            assert ra.trace == rc.trace
+        for ra, rb, rc in zip(a, b, c):
+            _assert_same_bits(ra, rb)
+            _assert_same_bits(ra, rc)
+        # nothing carries over from one pair's fit to the next: a pair
+        # fitted after another gives the bits it gives alone
+        _assert_same_bits(fit_offsets(pairs[1:2], fit_cfg, cfg_s.grid)[0], a[1])
+        for rr, ra in zip(fit_offsets(pairs[::-1], fit_cfg, cfg_s.grid), a[::-1]):
+            _assert_same_bits(rr, ra)
 
     def test_pool_is_capped_at_the_pair_count(self, monkeypatch):
         import concurrent.futures

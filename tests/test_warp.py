@@ -9,6 +9,7 @@ from groundflow.errors import DimensionMismatch
 from groundflow.warp import (
     ReconstructionConfig,
     WarpPlan,
+    WarpWorkspace,
     grad_offsets_with_plan,
     reconstruct,
     reconstruct_backward,
@@ -245,3 +246,35 @@ class TestReconstructBackward:
         for lam, forward in ((5.0, cache), (2.0, {})):
             with pytest.raises(ValueError):
                 grad_offsets_with_plan(plan, np.ones((6, 6)), lam, forward)
+
+    def test_offset_gradient_needs_the_workspace_its_forward_pass_filled(self):
+        # a later pass through the shared workspace overwrites the cached blocks
+        plan = WarpPlan(_peak(6, 6, 2, 3), 9)
+        other = WarpPlan(_peak(6, 6, 4, 1) + _peak(6, 6, 0, 5), 9)
+        zeros = np.zeros((6, 6))
+        shift = np.full((6, 6), 0.4)
+        up = np.arange(36.0).reshape(6, 6)
+        alone = grad_offsets_with_plan(plan, up, 2.0, self._forward(plan, shift, WarpWorkspace()))
+        later_passes = (
+            lambda ws: reconstruct_with_plan(other, zeros, zeros, 2.0, workspace=ws),
+            lambda ws: reconstruct_with_plan(plan, shift, shift, 2.0, workspace=ws),
+            lambda ws: smoothed_target(other.vals, ReconstructionConfig(2.0, 9), other, ws),
+        )
+        for later in later_passes:
+            ws = WarpWorkspace()
+            cache = self._forward(plan, shift, ws)
+            later(ws)
+            with pytest.raises(ValueError):
+                grad_offsets_with_plan(plan, up, 2.0, cache)
+        # a gradient pass leaves the forward pass's blocks in place
+        ws = WarpWorkspace()
+        cache = self._forward(plan, shift, ws)
+        for _ in range(2):
+            g_dx, g_dy = grad_offsets_with_plan(plan, up, 2.0, cache)
+            assert g_dx.tobytes() == alone[0].tobytes() and g_dy.tobytes() == alone[1].tobytes()
+
+    @staticmethod
+    def _forward(plan, shift, workspace):
+        cache: dict = {}
+        reconstruct_with_plan(plan, shift, shift, 2.0, cache, workspace=workspace)
+        return cache

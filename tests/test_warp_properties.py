@@ -9,9 +9,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from groundflow.warp import (  # noqa: E402
     ReconstructionConfig,
+    WarpPlan,
+    WarpWorkspace,
+    grad_offsets_with_plan,
     reconstruct,
     reconstruct_backward,
     reconstruct_dense,
+    reconstruct_with_plan,
+    smoothed_target,
 )
 
 SIZE = 14
@@ -84,3 +89,37 @@ def test_huge_offsets_give_finite_near_zero_output(seed, lam, sx, sy):
     out = reconstruct(x, (sx * big, sy * big), ReconstructionConfig(lam, 21))
     assert np.all(np.isfinite(out))
     assert np.abs(out).max() < 1e-15
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=seeds, steps=st.lists(
+    st.tuples(st.sampled_from(["forward", "gradient", "target"]), st.integers(0, 1),
+              st.floats(0.16, 5.0)),
+    min_size=1, max_size=10))
+def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(seed, steps):
+    # two plans with different source counts; the first pass is at the sharp
+    # end of the schedule and a soft one follows, so the workspace grows past
+    # its first size, and the drawn lambdas shrink and grow R again
+    window = 21
+    rng = np.random.default_rng(seed)
+    plans = [WarpPlan(_scene(seed, density, 0.0)[0], window) for density in (0.1, 0.4)]
+    schedule = [("forward", 1, 5.0)] + steps + [("gradient", 0, 0.16)] + steps[::-1]
+    ws = WarpWorkspace()
+    for kind, which, lam in schedule:
+        plan = plans[which]
+        dx, dy = rng.uniform(-6.0, 6.0, (2, SIZE, SIZE))
+        if rng.random() < 0.5:   # whole-cell offsets put l = 0 in every block
+            dx, dy = np.rint(dx), np.rint(dy)
+        if kind == "target":
+            cfg = ReconstructionConfig(lam, window)
+            got = smoothed_target(plan.vals, cfg, plan, ws)
+            assert got.tobytes() == smoothed_target(plan.vals, cfg, plan).tobytes()
+            continue
+        cache, fresh = {}, {}
+        got = reconstruct_with_plan(plan, dx, dy, lam, cache, workspace=ws)
+        assert got.tobytes() == reconstruct_with_plan(plan, dx, dy, lam, fresh).tobytes()
+        if kind == "gradient":
+            up = rng.normal(size=(SIZE, SIZE))
+            for g, want in zip(grad_offsets_with_plan(plan, up, lam, cache),
+                               grad_offsets_with_plan(plan, up, lam, fresh)):
+                assert g.tobytes() == want.tobytes()
