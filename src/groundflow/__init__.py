@@ -3,21 +3,17 @@ learned from detection-only supervision.
 """
 
 from .core import (
-    CameraModel,
     Detection,
     GroundGrid,
     Heatmap,
     OffsetField,
     Trajectory,
-    homography_from_calib,
-    project_point,
 )
 from .warp import ReconstructionConfig, WarpGradients, reconstruct, reconstruct_dense, weight
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CameraModel",
     "Detection",
     "GroundGrid",
     "Heatmap",
@@ -25,8 +21,6 @@ __all__ = [
     "ReconstructionConfig",
     "Trajectory",
     "WarpGradients",
-    "homography_from_calib",
-    "project_point",
     "reconstruct",
     "reconstruct_dense",
     "weight",

@@ -4,9 +4,9 @@ frame-rate sweeps, gradient checks and loss ablations.
 Config files are flat ``key = value`` text with dotted section
 prefixes (an example lives in the README). Exit codes: 0 success,
 2 config/usage error, 3 numeric failure. GROUNDFLOW_THREADS (a whole
-number >= 1, default 1) is the number of worker processes that `fit`
-and `sweep-fps` fit frame pairs with, capped at the number of pairs;
-the results are byte-identical for any count.
+number >= 1, default 1) is the number of worker processes that `fit`,
+`sweep-fps` and `ablate` fit frame pairs with, capped at the number of
+pairs; the results are byte-identical for any count.
 """
 from __future__ import annotations
 
@@ -479,8 +479,9 @@ def _arm_fit_cfg(fit_cfg: FitConfig, arm: str) -> FitConfig | None:
     return None  # no_mot: without the consistency term nothing moves off zero
 
 
-def run_fit_ablation(cfg: ExperimentConfig, arms=FIT_ARMS):
-    """Offset quality per loss arm, averaged over the config's seeds."""
+def run_fit_ablation(cfg: ExperimentConfig, arms=FIT_ARMS, workers: int = 1):
+    """Offset quality per loss arm and seed; each fit's frame pairs are
+    fitted by `workers` processes."""
     rows = []
     for seed in cfg.seeds:
         scene = replace(cfg.scene, seed=seed)
@@ -493,17 +494,19 @@ def run_fit_ablation(cfg: ExperimentConfig, arms=FIT_ARMS):
             else:
                 results = fit_scene_offsets(detections, scene.grid, arm_cfg,
                                             scene.gaussian_sigma_cells,
-                                            scene.gaussian_radius_cells)
+                                            scene.gaussian_radius_cells,
+                                            workers=workers)
                 report = fit_report_vs_truth(results, truth)
             rows.append((arm, seed, report))
     return rows
 
 
 def cmd_ablate(args) -> int:
+    workers = _workers()
     cfg = load_experiment_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = run_fit_ablation(cfg)
+    rows = run_fit_ablation(cfg, workers=workers)
     lines = ["arm,seed,l1,angle_deg,norm_err"]
     for arm, seed, rep in rows:
         lines.append(f"{arm},{seed},{_fmt(rep.l1)},{_fmt(rep.angle_deg)},{_fmt(rep.norm_err)}")
@@ -518,13 +521,8 @@ def cmd_ablate(args) -> int:
             print(f"  {arm:10s} l1={mean.l1:.3f} angle={mean.angle_deg:.2f} norm={mean.norm_err:.3f}")
 
     stride = max(cfg.fps_strides)
-    rows2 = []
-    for seed in cfg.seeds:
-        scene = replace(cfg.scene, seed=seed)
-        for mode in ("mussp", "mussp-nomotion"):
-            point, _ = run_tracking_point(scene, stride, mode, cfg.fit, cfg.edges,
-                                          cfg.two_stage, cfg.dist_threshold)
-            rows2.append(point)
+    motion_cfg = replace(cfg, modes=("mussp", "mussp-nomotion"))
+    rows2 = [p for seed in cfg.seeds for p in _sweep_one(motion_cfg, stride, seed, workers)]
     _write_points_csv(out / "ablation_motion_term.csv", rows2)
     for mode in ("mussp", "mussp-nomotion"):
         sel = [p for p in rows2 if p.mode == mode]

@@ -1,5 +1,5 @@
-"""Shared domain types: grids, heatmaps, offset fields, detections,
-trajectories and camera calibration.
+"""Shared domain types: grids, heatmaps, offset fields, detections and
+trajectories, all on the ground plane.
 
 Conventions used everywhere in this package:
 
@@ -14,10 +14,10 @@ marked read-only) and safe to share across workers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
-from .errors import DimensionMismatch, PointAtInfinity, SingularHomography
+from .errors import DimensionMismatch
 
 
 def _frozen_array(values, shape=None, dtype=np.float64) -> np.ndarray:
@@ -49,9 +49,6 @@ class GroundGrid:
         """Numpy storage shape (h, w)."""
         return (self.height_cells, self.width_cells)
 
-    def contains(self, x: float, y: float) -> bool:
-        return 0 <= x < self.width_cells and 0 <= y < self.height_cells
-
 
 @dataclass(frozen=True)
 class Heatmap:
@@ -67,10 +64,6 @@ class Heatmap:
         if a.size and (a.min() < 0.0 or a.max() > 1.0):
             raise ValueError("heatmap values must lie in [0, 1]")
         object.__setattr__(self, "values", a)
-
-    @classmethod
-    def zeros(cls, grid: GroundGrid) -> "Heatmap":
-        return cls(grid, np.zeros(grid.shape))
 
 
 @dataclass(frozen=True)
@@ -97,16 +90,12 @@ class OffsetField:
 
 @dataclass(frozen=True)
 class Detection:
-    """A single post-NMS detection at continuous grid coordinates."""
+    """One detection at continuous grid coordinates, with its confidence."""
 
     time: int
     x: float
     y: float
     confidence: float
-
-    @property
-    def pos(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -124,60 +113,3 @@ class Trajectory:
         if any(t1 >= t2 for t1, t2 in zip(times, times[1:])):
             raise ValueError("trajectory times must be strictly increasing")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def times(self) -> list[int]:
-        return [p[0] for p in self.points]
-
-
-def homography_from_calib(K, R, t) -> np.ndarray:
-    """Ground-plane (z = 0) homography from intrinsics and pose.
-
-    Columns of [R | t] for the flat-ground convention are (r1, r2, t),
-    pre-multiplied by K.
-    """
-    K = np.asarray(K, dtype=np.float64)
-    R = np.asarray(R, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64).reshape(3)
-    if K.shape != (3, 3) or R.shape != (3, 3):
-        raise DimensionMismatch("K and R must be 3x3")
-    H = K @ np.column_stack([R[:, 0], R[:, 1], t])
-    if abs(np.linalg.det(H)) < 1e-12:
-        raise SingularHomography(f"homography is singular (|det| = {abs(np.linalg.det(H)):.3e})")
-    return H
-
-
-def project_point(H, p) -> tuple[float, float]:
-    """Apply a 3x3 homography to a 2D point; raises if the image is at infinity."""
-    H = np.asarray(H, dtype=np.float64)
-    v = H @ np.array([p[0], p[1], 1.0])
-    if abs(v[2]) <= 1e-12:
-        raise PointAtInfinity(f"projected point has |z| = {abs(v[2]):.3e}")
-    return (v[0] / v[2], v[1] / v[2])
-
-
-@dataclass(frozen=True)
-class CameraModel:
-    """Calibrated camera; H maps ground-plane points to the image plane."""
-
-    K: np.ndarray
-    R: np.ndarray
-    t: np.ndarray
-    H: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        K = _frozen_array(self.K, (3, 3))
-        R = _frozen_array(self.R, (3, 3))
-        t = _frozen_array(np.asarray(self.t).reshape(3), (3,))
-        H = homography_from_calib(K, R, t)
-        H.setflags(write=False)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "H", H)
-
-    def ground_to_image(self, p) -> tuple[float, float]:
-        return project_point(self.H, p)
-
-    def image_to_ground(self, p) -> tuple[float, float]:
-        return project_point(np.linalg.inv(self.H), p)

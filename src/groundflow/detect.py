@@ -1,66 +1,12 @@
-"""Heatmap post-processing: non-maximum suppression and the 2-means
-confidence split that separates true detections from noise.
+"""Detection filtering: the 2-means confidence split that separates true
+detections from noise. Detections arrive as ground-plane points, so no
+peak finding on heatmaps is needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Detection, Heatmap
-
-
-@dataclass(frozen=True)
-class NmsConfig:
-    radius_cells: float = 2.0
-    max_candidates: int = 512
-
-    def __post_init__(self):
-        if not (self.radius_cells > 0):
-            raise ValueError("radius_cells must be positive")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
-
-
-def nms(X: Heatmap | np.ndarray, cfg: NmsConfig, time: int = 0) -> list[Detection]:
-    """Euclidean-radius non-maximum suppression on a heatmap.
-
-    Candidates are cells with positive value that are >= every cell
-    within the suppression radius; they are accepted in decreasing
-    confidence order (ties by (y, x)) unless within the radius of an
-    already-accepted peak.
-    """
-    values = X.values if isinstance(X, Heatmap) else np.asarray(X, dtype=np.float64)
-    h, w = values.shape
-    r = cfg.radius_cells
-    ri = int(np.floor(r))
-    is_max = values > 0.0
-    for da in range(-ri, ri + 1):
-        for db in range(-ri, ri + 1):
-            if da == 0 and db == 0:
-                continue
-            if da * da + db * db > r * r:
-                continue
-            shifted = np.full((h, w), -np.inf)
-            ys0, ys1 = max(0, -da), min(h, h - da)
-            xs0, xs1 = max(0, -db), min(w, w - db)
-            shifted[ys0:ys1, xs0:xs1] = values[ys0 + da:ys1 + da, xs0 + db:xs1 + db]
-            is_max &= values >= shifted
-    ys, xs = np.nonzero(is_max)
-    confs = values[ys, xs]
-    order = np.lexsort((xs, ys, -confs))
-    accepted: list[Detection] = []
-    acc_xy: list[tuple[int, int]] = []
-    r2 = r * r
-    for k in order:
-        x, y, c = int(xs[k]), int(ys[k]), float(confs[k])
-        if any((x - ax) ** 2 + (y - ay) ** 2 <= r2 for ax, ay in acc_xy):
-            continue
-        accepted.append(Detection(time, float(x), float(y), c))
-        acc_xy.append((x, y))
-        if len(accepted) >= cfg.max_candidates:
-            break
-    return accepted
+from .core import Detection
 
 
 def split_kmeans2(confidences) -> float:

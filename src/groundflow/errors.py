@@ -9,14 +9,6 @@ class DimensionMismatch(GroundflowError, ValueError):
     """Grids or arrays that must share a shape do not."""
 
 
-class SingularHomography(GroundflowError, ValueError):
-    """Calibration produced a (near-)singular homography."""
-
-
-class PointAtInfinity(GroundflowError, ValueError):
-    """Homogeneous coordinate too close to zero to dehomogenize."""
-
-
 class ConfigError(GroundflowError, ValueError):
     """Invalid configuration value or unparsable config file."""
 

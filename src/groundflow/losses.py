@@ -1,8 +1,9 @@
 """Loss terms for detection-supervised motion fitting.
 
-Four terms make up the composite objective:
+Three terms make up the composite objective; the paper's fourth, the
+detection term, is identically zero here because the heatmaps are
+rendered from detections and are fixed inputs, not predictions:
 
-* detection: squared L2 between predicted and ground-truth heatmaps,
 * motion consistency: squared L2 between the warped heatmap and a
   zero-offset-smoothed ground truth (both sides carry the same blur),
 * forward/backward: the reversed-pair offsets sampled at the forward
@@ -70,15 +71,6 @@ def schedule_step(s: LambdaSchedule) -> LambdaSchedule:
 def _same_shape(a: np.ndarray, b: np.ndarray, what: str):
     if a.shape != b.shape:
         raise DimensionMismatch(f"{what}: {a.shape} vs {b.shape}")
-
-
-def loss_det(X, X_gt) -> float:
-    """Squared L2 between a predicted and a ground-truth heatmap."""
-    a = _values_of(X)
-    b = _values_of(X_gt)
-    _same_shape(a, b, "detection loss")
-    d = a - b
-    return float((d * d).sum())
 
 
 def loss_mot(X_hat, X_gt, cfg: ReconstructionConfig, target: np.ndarray | None = None) -> float:
@@ -243,11 +235,6 @@ def loss_se_grad_hoods(dx: np.ndarray, dy: np.ndarray, hoods: list[np.ndarray]):
     return float(total / n_points), g_dx.reshape(h, w), g_dy.reshape(h, w)
 
 
-def combine_terms(l_mot: float, l_det: float, l_fb: float, l_se: float,
-                  weights: LossWeights) -> float:
-    return l_mot + l_det + weights.lambda_fb * l_fb + weights.lambda_se * l_se
-
-
 @dataclass(frozen=True)
 class TotalLoss:
     """Composite loss of one frame pair and its gradients."""
@@ -330,7 +317,7 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
     lam_se = weights.lambda_se
     l_mot = l_mot_f + l_mot_b
     l_se_total = l_se_f + l_se_b
-    total = combine_terms(l_mot, 0.0, l_fb, l_se_total, weights)
+    total = l_mot + lam_fb * l_fb + lam_se * l_se_total
     return TotalLoss(
         total=total,
         l_mot=l_mot,

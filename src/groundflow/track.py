@@ -288,11 +288,6 @@ def brute_force_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
     return tracks, cover_cost(g, tracks)
 
 
-def brute_force_tracks(g: TrackingGraph) -> list[Trajectory]:
-    tracks, _ = brute_force_detailed(g)
-    return _tracks_to_trajectories(g, tracks)
-
-
 def associate_nearest(dets_t, dets_t1, max_dist: float) -> list[tuple[int, int]]:
     """Greedy nearest-target mapping; many-to-one is allowed by design."""
     matches = []

@@ -228,17 +228,24 @@ class TestGradcheckCommand:
 
 
 class TestAblateCommand:
-    def test_ablate_small(self, tmp_path):
+    def test_ablate_small(self, tmp_path, monkeypatch):
         p = tmp_path / "abl.cfg"
         p.write_text(
             "scene.width = 28\nscene.height = 28\nscene.num_agents = 3\n"
             "scene.num_frames = 5\nscene.seed = 2\nfit.epochs = 20\nfit.window = 15\n"
             "sweep.strides = 2\nsweep.seeds = 2\n"
         )
-        out = tmp_path / "abl"
-        assert _run("ablate", "--config", str(p), "--out", str(out)) == 0
+        outs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GROUNDFLOW_THREADS", threads)
+            outs[threads] = tmp_path / f"abl{threads}"
+            assert _run("ablate", "--config", str(p), "--out", str(outs[threads])) == 0
+        out = outs["1"]
         table = (out / "ablation_fit.csv").read_text().splitlines()
         assert table[0] == "arm,seed,l1,angle_deg,norm_err"
         arms = {ln.split(",")[0] for ln in table[1:]}
         assert arms == {"full", "mot_only", "no_se", "no_fb", "no_mot"}
-        assert (out / "ablation_motion_term.csv").exists()
+        motion = (out / "ablation_motion_term.csv").read_text().splitlines()
+        assert [ln.split(",")[1] for ln in motion[1:]] == ["mussp", "mussp-nomotion"]
+        for name in ("ablation_fit.csv", "ablation_motion_term.csv"):
+            assert (out / name).read_bytes() == (outs["2"] / name).read_bytes()

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from groundflow.core import (
-    CameraModel,
-    GroundGrid,
-    Heatmap,
-    OffsetField,
-    Trajectory,
-    homography_from_calib,
-    project_point,
-)
-from groundflow.errors import PointAtInfinity, SingularHomography
+from groundflow.core import GroundGrid, Heatmap, OffsetField, Trajectory
 
 
 class TestGroundGrid:
@@ -71,54 +62,3 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(0, [])
 
-
-class TestHomography:
-    def test_identity_case(self):
-        H = homography_from_calib(np.eye(3), np.eye(3), (0, 0, 1))
-        assert np.allclose(H, np.eye(3))
-
-    def test_pure_scaling(self):
-        H = homography_from_calib(np.diag([2.0, 2.0, 1.0]), np.eye(3), (0, 0, 1))
-        assert np.allclose(H, np.diag([2.0, 2.0, 1.0]))
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularHomography):
-            homography_from_calib(np.eye(3), np.eye(3), (0, 0, 0))
-
-    def test_round_trip_oracle(self):
-        # project ground->image->ground must return the input on random
-        # well-conditioned calibrations
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            K = np.array([[500 + 100 * rng.random(), 0, 320],
-                          [0, 500 + 100 * rng.random(), 240],
-                          [0, 0, 1.0]])
-            angle = 0.3 * rng.standard_normal()
-            c, s = np.cos(angle), np.sin(angle)
-            R = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]]) @ np.array(
-                [[1, 0, 0], [0, np.cos(0.9), -np.sin(0.9)], [0, np.sin(0.9), np.cos(0.9)]])
-            t = np.array([rng.standard_normal(), rng.standard_normal(), 3.0 + rng.random()])
-            cam = CameraModel(K, R, t)
-            worst = 0.0
-            for _ in range(100):
-                p = (20 * rng.random(), 20 * rng.random())
-                q = cam.image_to_ground(cam.ground_to_image(p))
-                worst = max(worst, abs(q[0] - p[0]), abs(q[1] - p[1]))
-            assert worst < 1e-9
-
-
-class TestProjectPoint:
-    def test_identity(self):
-        assert project_point(np.eye(3), (3.5, 2.0)) == (3.5, 2.0)
-
-    def test_scaling(self):
-        assert project_point(np.diag([2.0, 2.0, 1.0]), (1, 1)) == (2.0, 2.0)
-
-    def test_translation_by_hand(self):
-        H = np.array([[1.0, 0, 5], [0, 1.0, 0], [0, 0, 1.0]])
-        assert project_point(H, (0, 0)) == (5.0, 0.0)
-
-    def test_point_at_infinity(self):
-        H = np.array([[1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 0]])  # z row kills (0, y)
-        with pytest.raises(PointAtInfinity):
-            project_point(H, (0.0, 1.0))

@@ -1,58 +1,8 @@
-import itertools
-import math
-
 import numpy as np
 import pytest
 
-from groundflow.core import GroundGrid
-from groundflow.detect import NmsConfig, nms, select_true_detections, split_kmeans2
-from groundflow.sim import render_heatmap
 from groundflow.core import Detection
-
-
-class TestNms:
-    def test_single_gaussian_peak(self):
-        g = GroundGrid(16, 16)
-        hm = render_heatmap([(8.0, 6.0)], g, 1.0, 3.0)
-        dets = nms(hm, NmsConfig(radius_cells=2.0))
-        assert len(dets) == 1
-        assert (dets[0].x, dets[0].y) == (8.0, 6.0)
-        assert dets[0].confidence == 1.0
-
-    def test_two_distant_peaks(self):
-        g = GroundGrid(24, 24)
-        hm = render_heatmap([(5.0, 5.0), (15.0, 5.0)], g, 1.0, 3.0)
-        dets = nms(hm, NmsConfig(radius_cells=2.0))
-        assert len(dets) == 2
-        assert {(d.x, d.y) for d in dets} == {(5.0, 5.0), (15.0, 5.0)}
-
-    def test_equal_adjacent_peaks_tie_break(self):
-        vals = np.zeros((8, 8))
-        vals[3, 4] = 0.9
-        vals[3, 5] = 0.9
-        dets = nms(vals, NmsConfig(radius_cells=2.0))
-        assert len(dets) == 1
-        assert (dets[0].x, dets[0].y) == (4.0, 3.0)  # lexicographically smaller (y, x)
-
-    def test_pairwise_distances_exceed_radius(self):
-        rng = np.random.default_rng(4)
-        vals = rng.random((32, 32)) * (rng.random((32, 32)) < 0.2)
-        for radius in (1.5, 2.0, 3.0):
-            dets = nms(vals, NmsConfig(radius_cells=radius))
-            for a, b in itertools.combinations(dets, 2):
-                assert math.hypot(a.x - b.x, a.y - b.y) > radius
-
-    def test_max_candidates_cap(self):
-        vals = np.zeros((16, 16))
-        vals[::4, ::4] = 0.5
-        dets = nms(vals, NmsConfig(radius_cells=1.0, max_candidates=3))
-        assert len(dets) == 3
-
-    def test_confidence_is_heatmap_value(self):
-        vals = np.zeros((8, 8))
-        vals[2, 2] = 0.37
-        dets = nms(vals, NmsConfig(radius_cells=2.0))
-        assert dets[0].confidence == 0.37
+from groundflow.detect import select_true_detections, split_kmeans2
 
 
 class TestSplitKmeans2:

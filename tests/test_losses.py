@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from groundflow.errors import DimensionMismatch
 from groundflow.losses import (
     LambdaSchedule,
     LossWeights,
-    loss_det,
     loss_fb,
     loss_fb_grad,
     loss_mot,
@@ -17,28 +15,6 @@ from groundflow.losses import (
 from groundflow.sim import render_heatmap
 from groundflow.core import GroundGrid
 from groundflow.warp import ReconstructionConfig, reconstruct, smoothed_target
-
-
-class TestLossDet:
-    def test_zero_on_equal(self):
-        x = np.random.default_rng(0).random((6, 6))
-        assert loss_det(x, x) == 0.0
-
-    def test_single_cell_difference(self):
-        a = np.zeros((4, 4))
-        b = np.zeros((4, 4))
-        b[2, 1] = 0.5
-        assert loss_det(a, b) == 0.25
-
-    def test_gaussian_against_zero_is_kernel_energy(self):
-        g = GroundGrid(16, 16)
-        hm = render_heatmap([(8.0, 8.0)], g, 1.0, 3.0)
-        s = float((hm.values ** 2).sum())
-        assert abs(loss_det(np.zeros((16, 16)), hm) - s) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            loss_det(np.zeros((3, 3)), np.zeros((4, 4)))
 
 
 class TestLossMot:

@@ -19,7 +19,6 @@ from groundflow.track import (
     associate_nearest,
     associate_two_stage,
     brute_force_detailed,
-    brute_force_tracks,
     build_graph,
     cover_cost,
     edge_cost,
@@ -193,7 +192,7 @@ class TestBruteForce:
         dets = [Detection(t, 0.0, 0.0, 0.9) for t in range(11)]
         g = build_graph(dets, None, EdgeCostParams())
         with pytest.raises(InstanceTooLarge):
-            brute_force_tracks(g)
+            brute_force_detailed(g)
 
     def test_empty(self):
         g = build_graph([], None, EdgeCostParams())
