@@ -447,8 +447,7 @@ def cmd_gradcheck(args) -> int:
             delta = flat.reshape(4, h, w)
             out = loss_total(x_t, x_t1, (delta[0], delta[1]), (delta[2], delta[3]),
                              points_t, points_t1, rcfg, weights, 2.5)
-            grad = np.stack([out.g_fdx, out.g_fdy, out.g_bdx, out.g_bdy])
-            return out.total, grad.reshape(flat.shape)
+            return out.total, out.grad.reshape(flat.shape)
 
         point = np.concatenate([base_f, base_b]).reshape(-1)
         err = finite_diff_check(f, point, eps=1e-4)

@@ -77,26 +77,25 @@ class FitResult:
 
 
 class _AdaptiveMoments:
-    """Adaptive-moments updates over a list of parameter arrays
+    """Adaptive-moments updates of one parameter array in place
     (beta1=0.9, beta2=0.999, eps=1e-8)."""
 
-    def __init__(self, lr: float, shapes):
+    def __init__(self, lr: float, shape):
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
 
-    def step(self, params, grads):
+    def step(self, params: np.ndarray, grad: np.ndarray):
         self.step_count += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        self.m *= b1
+        self.m += (1.0 - b1) * grad
+        self.v *= b2
+        self.v += (1.0 - b2) * grad * grad
+        params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + eps)
 
 
 def fit_offsets(pairs, cfg: FitConfig, grid: GroundGrid | None = None,
@@ -138,12 +137,9 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
         se_neighborhoods(x_t.shape, pair.points_t, cfg.se_radius),
         se_neighborhoods(x_t.shape, pair.points_t1, cfg.se_radius),
     )
-    fdx = np.zeros((h, w))
-    fdy = np.zeros((h, w))
-    bdx = np.zeros((h, w))
-    bdy = np.zeros((h, w))
-    params = [fdx, fdy, bdx, bdy]
-    opt = _AdaptiveMoments(cfg.learning_rate, [p.shape for p in params])
+    params = np.zeros((4, h, w))
+    fdx, fdy, bdx, bdy = params  # views: the steps below update them in place
+    opt = _AdaptiveMoments(cfg.learning_rate, params.shape)
     clamp = (cfg.window_cells - 1) / 2.0
     schedule = cfg.schedule
     trace = []
@@ -167,9 +163,8 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
             raise Divergence(
                 f"pair {pair_index}: loss became non-finite at epoch {epoch}"
             )
-        opt.step(params, [out.g_fdx, out.g_fdy, out.g_bdx, out.g_bdy])
-        for p in params:
-            np.clip(p, -clamp, clamp, out=p)
+        opt.step(params, out.grad)
+        np.clip(params, -clamp, clamp, out=params)
         trace.append({
             "epoch": epoch,
             "lambda_r": schedule.current,

@@ -237,17 +237,23 @@ def loss_se_grad_hoods(dx: np.ndarray, dy: np.ndarray, hoods: list[np.ndarray]):
 
 @dataclass(frozen=True)
 class TotalLoss:
-    """Composite loss of one frame pair and its gradients."""
+    """Composite loss of one frame pair and its gradient.
+
+    `grad` stacks the gradients wrt fdx, fdy, bdx and bdy as the rows of
+    one read-only (4, h, w) array; g_fdx .. g_bdy are views of its rows.
+    """
 
     total: float
     l_mot: float
     l_det: float
     l_fb: float
     l_se: float
-    g_fdx: np.ndarray
-    g_fdy: np.ndarray
-    g_bdx: np.ndarray
-    g_bdy: np.ndarray
+    grad: np.ndarray
+
+    g_fdx = property(lambda self: self.grad[0])
+    g_fdy = property(lambda self: self.grad[1])
+    g_bdx = property(lambda self: self.grad[2])
+    g_bdy = property(lambda self: self.grad[3])
 
 
 def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
@@ -318,14 +324,10 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
     l_mot = l_mot_f + l_mot_b
     l_se_total = l_se_f + l_se_b
     total = l_mot + lam_fb * l_fb + lam_se * l_se_total
-    return TotalLoss(
-        total=total,
-        l_mot=l_mot,
-        l_det=0.0,
-        l_fb=l_fb,
-        l_se=l_se_total,
-        g_fdx=gf_dx + lam_fb * fb_gf_dx + lam_se * se_gf_dx,
-        g_fdy=gf_dy + lam_fb * fb_gf_dy + lam_se * se_gf_dy,
-        g_bdx=gb_dx + lam_fb * fb_gb_dx + lam_se * se_gb_dx,
-        g_bdy=gb_dy + lam_fb * fb_gb_dy + lam_se * se_gb_dy,
-    )
+    mot = np.stack([gf_dx, gf_dy, gb_dx, gb_dy])
+    fb = np.stack([fb_gf_dx, fb_gf_dy, fb_gb_dx, fb_gb_dy])
+    se = np.stack([se_gf_dx, se_gf_dy, se_gb_dx, se_gb_dy])
+    grad = mot + lam_fb * fb + lam_se * se
+    grad.setflags(write=False)
+    return TotalLoss(total=total, l_mot=l_mot, l_det=0.0, l_fb=l_fb, l_se=l_se_total,
+                     grad=grad)
