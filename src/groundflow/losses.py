@@ -172,23 +172,29 @@ def loss_fb_grad(delta_fwd, delta_bwd):
     return value, g_fdx, g_fdy, g_bdx.reshape(h, w), g_bdy.reshape(h, w)
 
 
-def se_neighborhoods(shape, gt_points, radius: float) -> list[np.ndarray]:
-    """Flat cell indices within Euclidean `radius` of each ground-truth point."""
+def se_neighborhoods(shape, gt_points, radius: float) -> np.ndarray:
+    """Flat cell indices within Euclidean `radius` of each ground-truth point.
+
+    Row p of the (P, M) int64 result lists point p's cells in row-major
+    order and is padded at its end with h * w, one past the last cell.
+    The cells are those of the point's clipped bounding box
+    [floor(p - radius), ceil(p + radius)] that lie within the radius.
+    """
     h, w = shape
-    hoods = []
-    for (px, py) in gt_points:
-        x0 = max(0, int(np.floor(px - radius)))
-        x1 = min(w - 1, int(np.ceil(px + radius)))
-        y0 = max(0, int(np.floor(py - radius)))
-        y1 = min(h - 1, int(np.ceil(py + radius)))
-        if x1 < x0 or y1 < y0:
-            hoods.append(np.empty(0, dtype=np.int64))
-            continue
-        ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
-        d2 = (xs - px) ** 2 + (ys - py) ** 2
-        keep = d2 <= radius * radius
-        hoods.append((ys[keep] * w + xs[keep]).astype(np.int64))
-    return hoods
+    pts = np.asarray(gt_points, dtype=np.float64).reshape(-1, 2)
+    px, py = pts[:, 0, None, None], pts[:, 1, None, None]
+    x0 = np.maximum(0, np.floor(px - radius).astype(np.int64))
+    x1 = np.minimum(w - 1, np.ceil(px + radius).astype(np.int64))
+    y0 = np.maximum(0, np.floor(py - radius).astype(np.int64))
+    y1 = np.minimum(h - 1, np.ceil(py + radius).astype(np.int64))
+    box_w = max(0, int((x1 - x0).max(initial=-1)) + 1)
+    box_h = max(0, int((y1 - y0).max(initial=-1)) + 1)
+    xs = x0 + np.arange(box_w)[None, None, :]
+    ys = y0 + np.arange(box_h)[None, :, None]
+    keep = (xs <= x1) & (ys <= y1) & ((xs - px) ** 2 + (ys - py) ** 2 <= radius * radius)
+    # cells ascend in row-major order and the padding sorts after them
+    cells = np.sort(np.where(keep, ys * w + xs, h * w).reshape(len(pts), box_h * box_w), axis=1)
+    return cells[:, :int(keep.sum(axis=(1, 2)).max(initial=0))]
 
 
 def loss_se(delta, gt_points, radius: float) -> float:
@@ -197,42 +203,34 @@ def loss_se(delta, gt_points, radius: float) -> float:
     return loss_se_grad_hoods(dx, dy, hoods)[0]
 
 
-def loss_se_grad_hoods(dx: np.ndarray, dy: np.ndarray, hoods: list[np.ndarray]):
-    """Spatial-extent loss from precomputed neighborhoods, with gradients.
+def loss_se_grad_hoods(dx: np.ndarray, dy: np.ndarray, hoods: np.ndarray):
+    """Spatial-extent loss from a se_neighborhoods matrix, with gradients.
 
     Per point: STD = sqrt(var(dx) + var(dy)) over its neighborhood cells
-    (population variance); the value is the mean over points. The
-    gradient at an exactly constant neighborhood (STD = 0) is zero.
+    (population variance); the value is the mean over points. An empty
+    or exactly constant neighborhood (max == min in dx and in dy) adds
+    zero with a zero gradient, and so does the gradient of any point
+    whose STD is at most 1e-12.
     """
     h, w = dx.shape
-    g_dx = np.zeros(h * w)
-    g_dy = np.zeros(h * w)
-    n_points = len(hoods)
+    n_points = hoods.shape[0]
     if n_points == 0:
-        return 0.0, g_dx.reshape(h, w), g_dy.reshape(h, w)
-    dxf = dx.ravel()
-    dyf = dy.ravel()
-    total = 0.0
-    for idx in hoods:
-        n = idx.size
-        if n == 0:
-            continue
-        vx = dxf[idx]
-        vy = dyf[idx]
-        if vx.max() == vx.min() and vy.max() == vy.min():
-            continue  # exactly constant: zero spread, zero (sub)gradient
-        mx = vx.mean()
-        my = vy.mean()
-        ex = vx - mx
-        ey = vy - my
-        var = (ex * ex).sum() / n + (ey * ey).sum() / n
-        std = np.sqrt(var)
-        total += std
-        if std > 1e-12:
-            scale = 1.0 / (n_points * n * std)
-            np.add.at(g_dx, idx, ex * scale)
-            np.add.at(g_dy, idx, ey * scale)
-    return float(total / n_points), g_dx.reshape(h, w), g_dy.reshape(h, w)
+        return 0.0, np.zeros((h, w)), np.zeros((h, w))
+    cells = hoods < h * w
+    n = np.maximum(cells.sum(axis=1), 1)
+    # the padding gathers the appended zero
+    vx = np.append(dx.ravel(), 0.0)[hoods]
+    vy = np.append(dy.ravel(), 0.0)[hoods]
+    live = (cells & ((vx != vx[:, :1]) | (vy != vy[:, :1]))).any(axis=1)
+    ex = np.where(cells, vx - (vx.sum(axis=1) / n)[:, None], 0.0)
+    ey = np.where(cells, vy - (vy.sum(axis=1) / n)[:, None], 0.0)
+    std = np.where(live, np.sqrt((ex * ex).sum(axis=1) / n + (ey * ey).sum(axis=1) / n), 0.0)
+    scale = np.zeros(n_points)
+    np.divide(1.0, n_points * n * std, out=scale, where=live & (std > 1e-12))
+    flat = hoods.ravel()
+    g_dx = np.bincount(flat, weights=(ex * scale[:, None]).ravel(), minlength=h * w + 1)
+    g_dy = np.bincount(flat, weights=(ey * scale[:, None]).ravel(), minlength=h * w + 1)
+    return float(std.sum() / n_points), g_dx[:h * w].reshape(h, w), g_dy[:h * w].reshape(h, w)
 
 
 @dataclass(frozen=True)
@@ -259,7 +257,7 @@ class TotalLoss:
 def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
                cfg: ReconstructionConfig, weights: LossWeights, se_radius: float,
                plans: tuple[WarpPlan, WarpPlan] | None = None,
-               hoods: tuple[list, list] | None = None,
+               hoods: tuple[np.ndarray, np.ndarray] | None = None,
                targets: tuple[np.ndarray, np.ndarray] | None = None,
                workspace: WarpWorkspace | None = None) -> TotalLoss:
     """Composite loss of a frame pair with gradients wrt both offset fields.
