@@ -6,9 +6,11 @@ composite loss. This isolates the detection-only supervision mechanism:
 no motion annotations enter anywhere, the warp consistency term alone
 has to discover the motion.
 
-Pairs are independent of one another, and the lambda_r
-schedule advances once per epoch. Each pair fit owns one WarpWorkspace,
-sized once for its larger heatmap at the first epoch's block radius;
+Pairs are independent of one another, and the lambda_r schedule
+advances once per epoch. A pair's four offset components (fdx, fdy,
+bdx, bdy) are the rows of one (4, h, w) array, which the optimizer
+steps and the clamp bounds as a whole. Each pair fit owns one
+WarpWorkspace, sized once for its larger heatmap at the first epoch's block radius;
 both warp directions and the smoothed targets reuse its buffers every
 epoch, and it is dropped when the pair is done, so no state passes from
 one pair to the next. The fitted fields are clamped
@@ -73,7 +75,7 @@ class FitPair:
 class FitResult:
     fwd: OffsetField
     bwd: OffsetField
-    trace: tuple  # of dict rows: epoch, lambda_r, l_mot, l_det, l_fb, l_se, total
+    trace: tuple  # of dict rows: epoch, lambda_r, l_mot, l_fb, l_se, total
 
 
 class _AdaptiveMoments:
@@ -165,15 +167,8 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
             )
         opt.step(params, out.grad)
         np.clip(params, -clamp, clamp, out=params)
-        trace.append({
-            "epoch": epoch,
-            "lambda_r": schedule.current,
-            "l_mot": out.l_mot,
-            "l_det": out.l_det,
-            "l_fb": out.l_fb,
-            "l_se": out.l_se,
-            "total": out.total,
-        })
+        trace.append({"epoch": epoch, "lambda_r": schedule.current, "l_mot": out.l_mot,
+                      "l_fb": out.l_fb, "l_se": out.l_se, "total": out.total})
         schedule = schedule_step(schedule)
     return FitResult(
         fwd=OffsetField(grid, fdx, fdy),
@@ -183,11 +178,15 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
 
 
 def trace_csv(trace) -> str:
-    """Render one pair's loss trace as CSV."""
+    """Render one pair's loss trace as CSV.
+
+    The l_det column is the paper's detection term, which is identically
+    zero here (see losses.py), so it is written as the constant 0.0.
+    """
     lines = ["epoch,lambda_r,l_mot,l_det,l_fb,l_se,total"]
     for row in trace:
         lines.append(
-            f"{row['epoch']},{row['lambda_r']!r},{row['l_mot']!r},{row['l_det']!r},"
+            f"{row['epoch']},{row['lambda_r']!r},{row['l_mot']!r},0.0,"
             f"{row['l_fb']!r},{row['l_se']!r},{row['total']!r}"
         )
     return "\n".join(lines) + "\n"

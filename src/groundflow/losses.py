@@ -13,6 +13,11 @@ rendered from detections and are fixed inputs, not predictions:
 
 Each term has an exact analytic gradient; the gradient versions return
 (value, grads...) so the fitter assembles totals without recomputation.
+The composite loss stacks its gradient wrt (fdx, fdy, bdx, bdy) as one
+(4, h, w) array, summed over the three stacked terms. The spatial-extent
+term reads each point's footprint from one (points, cells) neighbourhood
+matrix padded with the out-of-grid index h * w, so it gathers, reduces
+and scatters all points at once.
 """
 from __future__ import annotations
 
@@ -243,7 +248,6 @@ class TotalLoss:
 
     total: float
     l_mot: float
-    l_det: float
     l_fb: float
     l_se: float
     grad: np.ndarray
@@ -263,10 +267,11 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
     """Composite loss of a frame pair with gradients wrt both offset fields.
 
     The heatmaps are fixed inputs here (the offset fields are the free
-    variables), so the detection term is identically zero and reported
-    as such. The motion term covers both temporal directions: the pair
-    warped forward by delta_fwd and the reversed pair warped by
-    delta_bwd, each compared against the other frame's smoothed heatmap.
+    variables), so the detection term is identically zero and left out;
+    trace_csv writes its column as 0.0. The motion term covers both
+    temporal directions: the pair warped forward by delta_fwd and the
+    reversed pair warped by delta_bwd, each compared against the other
+    frame's smoothed heatmap.
     The spatial-extent term is likewise applied to each field with its
     source frame's points; the forward/backward term couples the two
     fields once, anchored at the forward one.
@@ -284,48 +289,31 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
     _same_shape(xt, fdx, "heatmap vs offsets")
     if plans is None:
         plans = (WarpPlan(xt, cfg.window_cells), WarpPlan(xt1, cfg.window_cells))
-    plan_t, plan_t1 = plans
     if hoods is None:
-        hoods = (
-            se_neighborhoods(xt.shape, points_t, se_radius),
-            se_neighborhoods(xt.shape, points_t1, se_radius),
-        )
-    hoods_t, hoods_t1 = hoods
+        hoods = (se_neighborhoods(xt.shape, points_t, se_radius),
+                 se_neighborhoods(xt.shape, points_t1, se_radius))
     if workspace is None:
         workspace = WarpWorkspace()
-
     if targets is None:
-        targets = (smoothed_target(xt1, cfg, plan=plan_t1, workspace=workspace),
-                   smoothed_target(xt, cfg, plan=plan_t, workspace=workspace))
-    target_fwd, target_bwd = targets
+        targets = (smoothed_target(xt1, cfg, plan=plans[1], workspace=workspace),
+                   smoothed_target(xt, cfg, plan=plans[0], workspace=workspace))
 
-    cache_f: dict = {}
-    xhat_f = reconstruct_with_plan(plan_t, fdx, fdy, cfg.lambda_r, cache=cache_f,
-                                   workspace=workspace)
-    res_f = xhat_f - target_fwd
-    l_mot_f = float((res_f * res_f).sum())
-    gf_dx, gf_dy = grad_offsets_with_plan(plan_t, 2.0 * res_f, cfg.lambda_r, cache=cache_f)
-
-    cache_b: dict = {}
-    xhat_b = reconstruct_with_plan(plan_t1, bdx, bdy, cfg.lambda_r, cache=cache_b,
-                                   workspace=workspace)
-    res_b = xhat_b - target_bwd
-    l_mot_b = float((res_b * res_b).sum())
-    gb_dx, gb_dy = grad_offsets_with_plan(plan_t1, 2.0 * res_b, cfg.lambda_r, cache=cache_b)
-
-    l_fb, fb_gf_dx, fb_gf_dy, fb_gb_dx, fb_gb_dy = loss_fb_grad((fdx, fdy), (bdx, bdy))
-    l_se_f, se_gf_dx, se_gf_dy = loss_se_grad_hoods(fdx, fdy, hoods_t)
-    l_se_b, se_gb_dx, se_gb_dy = loss_se_grad_hoods(bdx, bdy, hoods_t1)
+    l_mot = l_se = 0.0
+    mot, se = [], []
+    for plan, (dx, dy), target, hoods_src in zip(plans, ((fdx, fdy), (bdx, bdy)), targets, hoods):
+        cache: dict = {}
+        res = reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, cache=cache,
+                                    workspace=workspace) - target
+        l_mot += float((res * res).sum())
+        mot += grad_offsets_with_plan(plan, 2.0 * res, cfg.lambda_r, cache=cache)
+        l_se_src, *g_se = loss_se_grad_hoods(dx, dy, hoods_src)
+        l_se += l_se_src
+        se += g_se
+    l_fb, *fb = loss_fb_grad((fdx, fdy), (bdx, bdy))
 
     lam_fb = weights.lambda_fb
     lam_se = weights.lambda_se
-    l_mot = l_mot_f + l_mot_b
-    l_se_total = l_se_f + l_se_b
-    total = l_mot + lam_fb * l_fb + lam_se * l_se_total
-    mot = np.stack([gf_dx, gf_dy, gb_dx, gb_dy])
-    fb = np.stack([fb_gf_dx, fb_gf_dy, fb_gb_dx, fb_gb_dy])
-    se = np.stack([se_gf_dx, se_gf_dy, se_gb_dx, se_gb_dy])
-    grad = mot + lam_fb * fb + lam_se * se
+    grad = np.stack(mot) + lam_fb * np.stack(fb) + lam_se * np.stack(se)
     grad.setflags(write=False)
-    return TotalLoss(total=total, l_mot=l_mot, l_det=0.0, l_fb=l_fb, l_se=l_se_total,
-                     grad=grad)
+    return TotalLoss(total=l_mot + lam_fb * l_fb + lam_se * l_se, l_mot=l_mot, l_fb=l_fb,
+                     l_se=l_se, grad=grad)

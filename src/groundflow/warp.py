@@ -297,27 +297,6 @@ def _zero_offset_kernel(lambda_r: float, r: int) -> np.ndarray:
     return kernel
 
 
-def reconstruct_zero_offset(plan: WarpPlan, lambda_r: float,
-                            workspace: WarpWorkspace | None = None) -> np.ndarray:
-    """Forward pass with identically zero offsets (shared radial kernel).
-
-    Bitwise identical to reconstruct_with_plan with zero offset arrays:
-    with delta = 0 every block is centred on its source and its weights
-    are the same function of the integer block offsets. Runs in
-    `workspace`, or in a throwaway one.
-    """
-    if plan.num_sources == 0:
-        return np.zeros((plan.h, plan.w))
-    if workspace is None:
-        workspace = WarpWorkspace()
-    r = block_radius(lambda_r, plan.window)
-    kernel = _zero_offset_kernel(float(lambda_r), r)
-    blocks = workspace.claim(plan.num_sources, 2 * r + 1)
-    pad = _flat_blocks(plan.ys, plan.xs, r, plan.w, blocks.idx)
-    contrib = np.multiply(plan.vals[:, None, None], kernel[None, :, :], out=blocks.a)
-    return _scatter(plan.h, plan.w, pad, blocks.idx, contrib)
-
-
 def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float,
                            cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """d(loss)/d(offset components), supported on the plan's source cells.
@@ -466,10 +445,21 @@ def smoothed_target(X_gt, cfg: ReconstructionConfig, plan: WarpPlan | None = Non
                     workspace: WarpWorkspace | None = None) -> np.ndarray:
     """Ground truth passed through the operator with zero offsets.
 
-    Gives targets the same lambda_r-dependent blur as predictions. Runs
-    in `workspace`, or in a throwaway one.
+    Gives targets the same lambda_r-dependent blur as predictions. Bitwise
+    identical to reconstruct_with_plan with zero offset arrays: with
+    delta = 0 every block is centred on its source and its weights are
+    one shared radial kernel of the integer block offsets. Runs in
+    `workspace`, or in a throwaway one.
     """
-    values = _values_of(X_gt)
     if plan is None:
-        plan = WarpPlan(values, cfg.window_cells)
-    return reconstruct_zero_offset(plan, cfg.lambda_r, workspace)
+        plan = WarpPlan(_values_of(X_gt), cfg.window_cells)
+    if plan.num_sources == 0:
+        return np.zeros((plan.h, plan.w))
+    if workspace is None:
+        workspace = WarpWorkspace()
+    r = block_radius(cfg.lambda_r, plan.window)
+    kernel = _zero_offset_kernel(float(cfg.lambda_r), r)
+    blocks = workspace.claim(plan.num_sources, 2 * r + 1)
+    pad = _flat_blocks(plan.ys, plan.xs, r, plan.w, blocks.idx)
+    contrib = np.multiply(plan.vals[:, None, None], kernel[None, :, :], out=blocks.a)
+    return _scatter(plan.h, plan.w, pad, blocks.idx, contrib)

@@ -170,7 +170,6 @@ class TestLossTotal:
         out = loss_total(x_t, x_t1, (df[0], df[1]), (db[0], db[1]), pts_t, pts_t1,
                          cfg, LossWeights(0.0, 0.0), 2.5)
         assert out.total == out.l_mot
-        assert out.l_det == 0.0
 
     def test_additivity_in_fb_weight(self):
         x_t, x_t1, pts_t, pts_t1, df, db = self._random_instance(1)

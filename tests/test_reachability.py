@@ -5,6 +5,7 @@ A name counts as reached when it occurs, as a whole word, anywhere in
 ``src/groundflow`` (outside ``__init__.py``) or ``bench/*.py`` other than
 its own definition. Code that only its tests call should be deleted, or,
 when tests use it as a reference implementation, listed in TEST_ORACLES.
+An oracle that no test reads is dead code too.
 """
 import ast
 import re
@@ -44,3 +45,10 @@ def test_every_public_name_is_reached_or_a_named_oracle():
         if len(re.findall(rf"\b{name}\b", corpus)) <= 1  # the definition itself
     }
     assert sorted(name for _, name in unreached) == sorted(TEST_ORACLES), sorted(unreached)
+
+
+def test_every_named_oracle_is_read_by_a_test():
+    tests = "\n".join(p.read_text() for p in sorted(Path(__file__).parent.rglob("*.py"))
+                      if p.name != Path(__file__).name)
+    unread = [name for name in TEST_ORACLES if not re.search(rf"\b{name}\b", tests)]
+    assert unread == []
