@@ -222,7 +222,7 @@ def loss_se_grad_hoods(dx: np.ndarray, dy: np.ndarray, hoods: np.ndarray):
     if n_points == 0:
         return 0.0, np.zeros((h, w)), np.zeros((h, w))
     cells = hoods < h * w
-    n = np.maximum(cells.sum(axis=1), 1)
+    n = np.maximum(cells.sum(axis=1), 1)  # an empty row is never live; 1 keeps it finite
     # the padding gathers the appended zero
     vx = np.append(dx.ravel(), 0.0)[hoods]
     vy = np.append(dy.ravel(), 0.0)[hoods]
