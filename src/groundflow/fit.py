@@ -23,7 +23,9 @@ weights above the warp's EPSILON cut off.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,24 +82,36 @@ class FitResult:
 
 class _AdaptiveMoments:
     """Adaptive-moments updates of one parameter array in place
-    (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    (beta1=0.9, beta2=0.999, eps=1e-8). The step's temporaries go to two
+    buffers of the parameters' shape that the optimizer owns."""
 
     def __init__(self, lr: float, shape):
         self.lr = lr
         self.step_count = 0
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self._a = np.empty(shape)
+        self._b = np.empty(shape)
 
     def step(self, params: np.ndarray, grad: np.ndarray):
         self.step_count += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
+        a, b = self._a, self._b
         self.m *= b1
-        self.m += (1.0 - b1) * grad
+        self.m += np.multiply(grad, 1.0 - b1, out=a)
         self.v *= b2
-        self.v += (1.0 - b2) * grad * grad
-        params -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + eps)
+        np.multiply(grad, 1.0 - b2, out=a)
+        self.v += np.multiply(a, grad, out=a)
+        # params -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(self.m, c1, out=a)
+        a *= self.lr
+        np.divide(self.v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        params -= a
 
 
 def fit_offsets(pairs, cfg: FitConfig, grid: GroundGrid | None = None,
@@ -105,33 +119,68 @@ def fit_offsets(pairs, cfg: FitConfig, grid: GroundGrid | None = None,
     """Fit forward and backward offset fields for every frame pair.
 
     Returns one FitResult per pair with the per-epoch loss trace.
-    Raises Divergence if any loss becomes non-finite. Pairs are
-    independent, so `workers` > 1 fits them in a pool of that many
-    processes, capped at the number of pairs; the results are
-    bit-identical for any count. The CLI's `fit` and `sweep-fps` take
-    the count from GROUNDFLOW_THREADS.
+    Raises Divergence if any loss becomes non-finite. The pairs are split
+    into at most `workers` contiguous runs, each fitted serially (see
+    _fit_run); more than one run goes to a pool of that many processes.
+    The results are bit-identical for any count. The CLI's `fit` and
+    `sweep-fps` take the count from GROUNDFLOW_THREADS.
     """
     pairs = list(pairs)
-    workers = min(workers, len(pairs))
-    if workers <= 1:
-        return [_fit_single_pair(p, cfg, grid, i) for i, p in enumerate(pairs)]
+    if not pairs:
+        return []
+    splits = np.array_split(np.arange(len(pairs)), max(1, min(workers, len(pairs))))
+    runs = [(pairs[int(r[0]):int(r[-1]) + 1], cfg, grid, int(r[0])) for r in splits]
+    if len(runs) == 1:
+        return _fit_run(*runs[0])
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_fit_single_pair, p, cfg, grid, i)
-                   for i, p in enumerate(pairs)]
-        return [f.result() for f in futures]
+    with ProcessPoolExecutor(max_workers=len(runs)) as pool:
+        futures = [pool.submit(_fit_run, *run) for run in runs]
+        return [r for f in futures for r in f.result()]
+
+
+class _FrameTargets(NamedTuple):
+    """A frame's plan and its smoothed targets, one per distinct lambda_r of
+    the schedule in schedule order, handed from one pair to the next."""
+
+    plan: WarpPlan
+    targets: deque
+
+
+def _fit_run(pairs: list, cfg: FitConfig, grid: GroundGrid | None,
+             first_index: int) -> list[FitResult]:
+    """Fit consecutive pairs one after another.
+
+    A pair whose x_t equals the previous pair's x_t1 takes that frame's
+    plan and smoothed targets instead of computing them again. Every
+    pair runs the same lambda_r schedule, so the targets come in the
+    order the next pair needs them.
+    """
+    results = []
+    handed = None
+    for i, pair in enumerate(pairs):
+        keep = i + 1 < len(pairs) and np.array_equal(pairs[i + 1].x_t, pair.x_t1)
+        result, handed = _fit_single_pair(pair, cfg, grid, first_index + i, handed, keep)
+        results.append(result)
+    return results
 
 
 def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
-                     pair_index: int) -> FitResult:
+                     pair_index: int, inherited: _FrameTargets | None = None,
+                     keep: bool = False) -> tuple[FitResult, _FrameTargets | None]:
+    """Fit one pair. `inherited` carries x_t's plan and targets; each target
+    is dropped once used. With `keep`, x_t1's plan and targets are returned
+    for the next pair, else None."""
     x_t = np.asarray(pair.x_t, dtype=np.float64)
     x_t1 = np.asarray(pair.x_t1, dtype=np.float64)
     h, w = x_t.shape
     if grid is None:
         grid = GroundGrid(w, h)
-    plan_t = WarpPlan(x_t, cfg.window_cells)
+    if inherited is None:
+        inherited = _FrameTargets(WarpPlan(x_t, cfg.window_cells), deque())
+    plan_t = inherited.plan
     plan_t1 = WarpPlan(x_t1, cfg.window_cells)
+    kept = _FrameTargets(plan_t1, deque()) if keep else None
     # lambda_r only rises, so the first epoch's block radius is the largest
     k = 2 * block_radius(cfg.schedule.current, cfg.window_cells) + 1
     workspace = WarpWorkspace(max(plan_t.num_sources, plan_t1.num_sources) * k * k)
@@ -153,8 +202,14 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
         # the smoothed targets depend on lambda_r only, so once the
         # schedule sits at its cap they are reused as they are
         if rcfg.lambda_r != targets_lambda:
-            targets = (smoothed_target(x_t1, rcfg, plan=plan_t1, workspace=workspace),
-                       smoothed_target(x_t, rcfg, plan=plan_t, workspace=workspace))
+            target_t1 = smoothed_target(x_t1, rcfg, plan=plan_t1, workspace=workspace)
+            if inherited.targets:
+                target_t = inherited.targets.popleft()
+            else:
+                target_t = smoothed_target(x_t, rcfg, plan=plan_t, workspace=workspace)
+            if kept is not None:
+                kept.targets.append(target_t1)
+            targets = (target_t1, target_t)
             targets_lambda = rcfg.lambda_r
         out = loss_total(
             x_t, x_t1, (fdx, fdy), (bdx, bdy), pair.points_t, pair.points_t1,
@@ -170,11 +225,12 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
         trace.append({"epoch": epoch, "lambda_r": schedule.current, "l_mot": out.l_mot,
                       "l_fb": out.l_fb, "l_se": out.l_se, "total": out.total})
         schedule = schedule_step(schedule)
-    return FitResult(
+    result = FitResult(
         fwd=OffsetField(grid, fdx, fdy),
         bwd=OffsetField(grid, bdx, bdy),
         trace=tuple(trace),
     )
+    return result, kept
 
 
 def trace_csv(trace) -> str:

@@ -148,30 +148,34 @@ def loss_fb_grad(delta_fwd, delta_bwd):
     xx, yy = _cell_mesh(h, w)
     x0, x1, y0, y1, fx, fy, inside_x, inside_y = _bilinear_corners(
         (h, w), xx + fdx.ravel(), yy + fdy.ravel())
-    corners = (y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1)
+    y0w = y0 * w
+    y1w = y1 * w
+    corners = (y0w + x0, y0w + x1, y1w + x0, y1w + x1)
     gx = 1.0 - fx
     gy = 1.0 - fy
     samples = []
     for b in (bdx.ravel(), bdy.ravel()):
         v00, v10, v01, v11 = (b.take(c) for c in corners)
-        top = v00 + fx * (v10 - v00)
-        bot = v01 + fx * (v11 - v01)
+        d_top = v10 - v00
+        d_bot = v11 - v01
+        top = v00 + fx * d_top
+        bot = v01 + fx * d_bot
+        d_y = bot - top
         # value and its derivatives, zero along an axis where the point was clamped
-        samples.append((top + fy * (bot - top),
-                        (gy * (v10 - v00) + fy * (v11 - v01)) * inside_x,
-                        (bot - top) * inside_y))
+        samples.append((top + fy * d_y, (gy * d_top + fy * d_bot) * inside_x, d_y * inside_y))
     (sx, dsx_dx, dsx_dy), (sy, dsy_dx, dsy_dy) = samples
     rx = fdx.ravel() + sx
     ry = fdy.ravel() + sy
     value = float((rx * rx + ry * ry).sum())
-    g_fdx = (2.0 * rx * (1.0 + dsx_dx) + 2.0 * ry * dsy_dx).reshape(h, w)
-    g_fdy = (2.0 * rx * dsx_dy + 2.0 * ry * (1.0 + dsy_dy)).reshape(h, w)
-    # scatter 2r onto the four corner cells, corner by corner
-    g_bdx = np.zeros(h * w)
-    g_bdy = np.zeros(h * w)
     rx2 = 2.0 * rx
     ry2 = 2.0 * ry
-    for c, wgt in zip(corners, (gx * gy, fx * gy, gx * fy, fx * fy)):
+    g_fdx = (rx2 * (1.0 + dsx_dx) + ry2 * dsy_dx).reshape(h, w)
+    g_fdy = (rx2 * dsx_dy + ry2 * (1.0 + dsy_dy)).reshape(h, w)
+    # scatter 2r onto the four corner cells, corner by corner
+    weights = (gx * gy, fx * gy, gx * fy, fx * fy)
+    g_bdx = np.bincount(corners[0], weights=rx2 * weights[0], minlength=h * w)
+    g_bdy = np.bincount(corners[0], weights=ry2 * weights[0], minlength=h * w)
+    for c, wgt in zip(corners[1:], weights[1:]):
         g_bdx += np.bincount(c, weights=rx2 * wgt, minlength=h * w)
         g_bdy += np.bincount(c, weights=ry2 * wgt, minlength=h * w)
     return value, g_fdx, g_fdy, g_bdx.reshape(h, w), g_bdy.reshape(h, w)
@@ -313,7 +317,13 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
 
     lam_fb = weights.lambda_fb
     lam_se = weights.lambda_se
-    grad = np.stack(mot) + lam_fb * np.stack(fb) + lam_se * np.stack(se)
+    # mot + lam_fb * fb + lam_se * se, row by row; the se rows are this
+    # call's own arrays, so they take their scaling in place
+    grad = np.empty((4,) + xt.shape)
+    for row, g_mot, g_fb, g_se in zip(grad, mot, fb, se):
+        np.multiply(g_fb, lam_fb, out=row)
+        row += g_mot
+        row += np.multiply(g_se, lam_se, out=g_se)
     grad.setflags(write=False)
     return TotalLoss(total=l_mot + lam_fb * l_fb + lam_se * l_se, l_mot=l_mot, l_fb=l_fb,
                      l_se=l_se, grad=grad)
