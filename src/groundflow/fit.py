@@ -6,20 +6,28 @@ composite loss. This isolates the detection-only supervision mechanism:
 no motion annotations enter anywhere, the warp consistency term alone
 has to discover the motion.
 
-Pairs are independent of one another, and the lambda_r schedule
-advances once per epoch. A pair's four offset components (fdx, fdy,
-bdx, bdy) are the rows of one (4, h, w) array, which the optimizer
+The pairs' fits are independent of one another, and the lambda_r
+schedule advances once per epoch. A pair's four offset components (fdx,
+fdy, bdx, bdy) are the rows of one (4, h, w) array, which the optimizer
 steps and the clamp bounds as a whole. Each pair fit owns one
 WarpWorkspace, sized once for its larger heatmap at the first epoch's
 block radius; both warp directions and the smoothed targets reuse its
-buffers every epoch, and it is dropped when the pair is done, so no
-state passes from one pair to the next. The fitted fields are clamped
-per-component to the window radius, which bounds the motion one pair
-can express. The clamp does not make the windowed forward pass exact:
-the warp operator's lambda_r-sized blocks do, since they follow the
-displaced source to any offset. Only while lambda_r is so soft that
-the window caps the block radius (lambda_r < 1.24 at window 21) are
-weights above the warp's EPSILON cut off.
+buffers every epoch, and it is dropped when the pair is done.
+
+The pairs are fitted in contiguous runs, one run per worker. Within a
+run, consecutive pairs that share a frame (x_t1 of one is x_t of the
+next) share that frame's plan and smoothed targets: the first pair
+smooths the frame once per lambda_r and hands the targets on, and the
+next uses each once and drops it. The targets are what the next pair
+would compute itself, so only the work passes from pair to pair, and
+each pair's result is bit-identical to its fit alone.
+
+The fitted fields are clamped per-component to the window radius, which
+bounds the motion one pair can express. The clamp does not make the
+windowed forward pass exact: the warp operator's lambda_r-sized blocks
+do, since they follow the displaced source to any offset. Only while
+lambda_r is so soft that the window caps the block radius (lambda_r <
+1.06045 at window 21) are weights above the warp's EPSILON cut off.
 """
 from __future__ import annotations
 

@@ -5,11 +5,16 @@ time t+1: every output cell j accumulates x_i * W(||j - (i + delta_i)||)
 over source cells i, where W is a logistic weight that decays with
 distance. The production path spreads each source over a square block
 of (2R + 1)^2 output cells centred on the cell nearest its displaced
-position i + delta_i. R = block_radius(lambda_r, window_cells) is the
-smallest radius beyond which W < EPSILON, capped by the window radius;
-below the cap the block follows the source to any offset, so the
-windowed pass equals the dense sum up to weights below EPSILON. The
-dense path is the O(N^2) oracle used for verification.
+position i + delta_i. That centre is within half a cell of the displaced
+position per component, so a cell outside the block lies at least
+R + 1/2 from it. R = block_radius(lambda_r, window_cells) is the
+smallest radius at which that half-cell bound puts every cell left out
+below the weight EPSILON, capped by the window radius; below the cap
+the block follows the source to any offset, so the windowed pass equals
+the dense sum up to weights below EPSILON. The window caps R when
+lambda_r is soft: at window 21 (radius 10) for lambda_r < 1.06045, where
+weights above EPSILON are cut off. The dense path is the O(N^2) oracle
+used for verification.
 
 Every S x (2R + 1)^2 step (S nonzero sources) writes into the prefix
 views of a WarpWorkspace, so a fit that keeps one workspace allocates
@@ -53,12 +58,15 @@ _REACH_EXPONENT = 10.0 + math.log(1.0 / EPSILON)
 
 
 def _uncapped_radius(lambda_r: float) -> int:
-    """Block radius at which every cell left out weighs less than EPSILON.
+    """The smallest block radius at which every cell left out weighs less
+    than EPSILON.
 
-    A block centre is within 1/2 of the displaced source per component,
-    so a cell outside a radius-R block lies at least R + 1/2 away.
+    W < EPSILON from the reach (10 + ln(1 / EPSILON)) / (4 * lambda_r) on.
+    A block is centred on the cell nearest the displaced source, within
+    1/2 of it per component, so a cell outside a radius-R block lies at
+    least R + 1/2 away: R is the smallest with R + 1/2 >= reach.
     """
-    return math.ceil(_REACH_EXPONENT / (4.0 * lambda_r)) + 1
+    return max(0, math.ceil(_REACH_EXPONENT / (4.0 * lambda_r) - 0.5))
 
 
 def block_radius(lambda_r: float, window_cells: int) -> int:

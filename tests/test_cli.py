@@ -1,10 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from groundflow import io
-from groundflow.cli import load_experiment_config, main
+from groundflow.cli import load_experiment_config, main, offsets_off_grid_lines
 from groundflow.pipeline import fit_scene_offsets, stride_adapted, track_detections
 from groundflow.sim import corrupt_detections, generate_scene, subsample_fps
 
@@ -225,6 +226,19 @@ class TestGradcheckCommand:
         assert _run("gradcheck", "--instances", "2", "--seed", "3") == 0
         out = capsys.readouterr().out
         assert "gradient check passed" in out
+
+    def test_forward_offsets_keep_off_grid_lines(self):
+        d = offsets_off_grid_lines(np.random.default_rng(0), (2, 40, 40), 0.7)
+        assert d.shape == (2, 40, 40)
+        assert np.abs(d - np.rint(d)).min() >= 1e-3
+        # a margin that rejects about four draws in five: only the offending
+        # components are drawn again
+        plain = np.random.default_rng(1).normal(0.0, 0.7, 500)
+        d = offsets_off_grid_lines(np.random.default_rng(1), 500, 0.7, margin=0.4)
+        assert np.abs(d - np.rint(d)).min() >= 0.4
+        kept = np.abs(plain - np.rint(plain)) >= 0.4
+        assert 0 < kept.sum() < 500
+        assert np.array_equal(d[kept], plain[kept])
 
 
 class TestAblateCommand:

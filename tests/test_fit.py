@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import groundflow.fit
 from groundflow.core import GroundGrid
 from groundflow.fit import FitConfig, FitPair, finite_diff_check, fit_offsets
-from groundflow.losses import LossWeights, loss_fb_grad, loss_total
+from groundflow.losses import LambdaSchedule, LossWeights, loss_fb_grad, loss_total
 from groundflow.sim import SceneConfig, generate_scene, render_heatmap
 from groundflow.warp import ReconstructionConfig
 
@@ -17,6 +18,50 @@ def _pairs_from_truth(truth, count=None):
                 truth.gt_points[k], truth.gt_points[k + 1])
         for k in range(n)
     ]
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in an inline executor for the process pool; returns the pool
+    sizes asked for and each submitted job's arguments."""
+    import concurrent.futures
+
+    record = {"sizes": [], "jobs": []}
+
+    class InlineExecutor:
+        """Records the pool size and runs each job at submit time."""
+
+        def __init__(self, max_workers):
+            record["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            record["jobs"].append(args)
+            done = concurrent.futures.Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return record
+
+
+@pytest.fixture
+def smooth_calls(monkeypatch):
+    """Counts the fit's smoothed_target calls; returns the list of calls."""
+    calls = []
+    real = groundflow.fit.smoothed_target
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groundflow.fit, "smoothed_target", counting)
+    return calls
 
 
 def _assert_same_bits(r1, r2):
@@ -130,34 +175,12 @@ class TestFitOffsets:
         for rr, ra in zip(fit_offsets(pairs[::-1], fit_cfg, cfg_s.grid), a[::-1]):
             _assert_same_bits(rr, ra)
 
-    def test_pool_is_capped_at_the_pair_count(self, monkeypatch):
-        import concurrent.futures
-
-        asked = []
-
-        class InlineExecutor:
-            """Records the pool size and runs each job at submit time."""
-
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                done = concurrent.futures.Future()
-                done.set_result(fn(*args))
-                return done
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    def test_pool_is_capped_at_the_pair_count(self, inline_pool):
         z = np.zeros((8, 8))
         pairs = [FitPair(z, z.copy(), (), ())] * 2
         results = fit_offsets(pairs, FitConfig(epochs=2, window_cells=5), GroundGrid(8, 8),
                               workers=10_000)
-        assert asked == [2]
+        assert inline_pool["sizes"] == [2]
         assert len(results) == 2
 
     def test_trace_non_increasing_over_ten_epoch_windows(self):
@@ -196,6 +219,51 @@ class TestFitOffsets:
         result = fit_offsets([pair], cfg, g)[0]
         totals = [row["l_mot"] for row in result.trace]
         assert totals[-1] < 0.1 * totals[0]
+
+
+class TestTargetSharing:
+    """Consecutive pairs of one run smooth their shared frame once per lambda_r."""
+
+    # 8 epochs over 3 distinct lambda_r: 0.8, 1.6 and the cap 2.4
+    CFG = FitConfig(epochs=8, window_cells=15,
+                    schedule=LambdaSchedule(init=0.8, increment=0.8, cap=2.4, current=0.8))
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cfg_s = SceneConfig(grid=GroundGrid(24, 24), num_agents=3, num_frames=6,
+                            speed_cells=(1.0, 1.5), turn_sigma_rad=0.1, seed=4)
+        return _pairs_from_truth(generate_scene(cfg_s)), cfg_s.grid
+
+    @staticmethod
+    def _distinct_lambdas(results):
+        return len({row["lambda_r"] for row in results[0].trace})
+
+    def test_consecutive_pairs_smooth_each_frame_once_per_lambda(self, scene, smooth_calls):
+        pairs, grid = scene
+        results = fit_offsets(pairs, self.CFG, grid)
+        assert self._distinct_lambdas(results) == 3
+        assert len(smooth_calls) == (len(pairs) + 1) * 3
+
+    @pytest.mark.parametrize("order", ["reversed", "every_other"])
+    def test_pairs_without_a_shared_frame_share_nothing(self, scene, smooth_calls, order):
+        pairs, grid = scene
+        picked = pairs[::-1] if order == "reversed" else pairs[::2]
+        results = fit_offsets(picked, self.CFG, grid)
+        assert len(smooth_calls) == 2 * len(picked) * 3
+        # and each result is the pair's fit alone
+        for pair, result in zip(picked, results):
+            _assert_same_bits(result, fit_offsets([pair], self.CFG, grid)[0])
+
+    def test_pool_hands_each_worker_one_contiguous_run(self, scene, smooth_calls, inline_pool):
+        pairs, grid = scene
+        results = fit_offsets(pairs, self.CFG, grid, workers=2)
+        runs = [job[0] for job in inline_pool["jobs"]]
+        assert inline_pool["sizes"] == [2]
+        assert [len(run) for run in runs] == [3, 2]
+        assert all(a is b for a, b in zip([p for run in runs for p in run], pairs))
+        assert len(smooth_calls) == (3 + 1) * 3 + (2 + 1) * 3
+        for r2, r1 in zip(results, fit_offsets(pairs, self.CFG, grid)):
+            _assert_same_bits(r2, r1)
 
 
 class TestOptimizer:

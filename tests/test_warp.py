@@ -20,6 +20,13 @@ from groundflow.warp import (
 )
 
 
+def _reconstruct_capped(X, delta, cfg):
+    """reconstruct at a lambda_r whose block radius the window caps on
+    purpose; the cut-off is reported as a warning."""
+    with pytest.warns(RuntimeWarning, match="caps"):
+        return reconstruct(X, delta, cfg)
+
+
 def _peak(h, w, x, y, value=1.0):
     a = np.zeros((h, w))
     a[y, x] = value
@@ -97,13 +104,16 @@ class TestReconstructWindowed:
     def test_window3_zero_offset_keeps_peak(self):
         X = _peak(8, 8, 4, 4)
         zeros = np.zeros((8, 8))
-        out = reconstruct(X, (zeros, zeros), ReconstructionConfig(5.0, 3))
+        # lambda 5 needs a radius of 2 cells; window 3 caps it at 1
+        out = _reconstruct_capped(X, (zeros, zeros), ReconstructionConfig(5.0, 3))
         assert np.abs(out - X).max() < 5e-5
 
     def test_zero_heatmap_any_window(self):
+        # lambda 0.8 needs a radius of 14 cells, which windows 3 and 9 cap
         for window in (3, 9, 59):
-            out = reconstruct(np.zeros((12, 12)), (np.zeros((12, 12)), np.zeros((12, 12))),
-                              ReconstructionConfig(0.8, window))
+            warp = _reconstruct_capped if window < 29 else reconstruct
+            out = warp(np.zeros((12, 12)), (np.zeros((12, 12)), np.zeros((12, 12))),
+                       ReconstructionConfig(0.8, window))
             assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("lam", [0.8, 5.0])
@@ -132,19 +142,19 @@ class TestReconstructWindowed:
         delta = (rng.normal(0, 1, (12, 12)), rng.normal(0, 1, (12, 12)))
         cfg = ReconstructionConfig(0.8, 15)
         a, b = 0.3, 1.7
-        lhs = reconstruct(a * x1 + b * x2, delta, cfg)
-        rhs = a * reconstruct(x1, delta, cfg) + b * reconstruct(x2, delta, cfg)
+        lhs = _reconstruct_capped(a * x1 + b * x2, delta, cfg)
+        rhs = a * _reconstruct_capped(x1, delta, cfg) + b * _reconstruct_capped(x2, delta, cfg)
         assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_warns_when_window_caps_block_radius(self):
-        # lambda 0.16 needs a radius of 71 cells; window 21 caps it at 10
+        # lambda 0.16 needs a radius of 70 cells; window 21 caps it at 10
         X = _peak(16, 16, 8, 8)
         zeros = np.zeros((16, 16))
         with pytest.warns(RuntimeWarning, match="caps"):
             reconstruct(X, (zeros, zeros), ReconstructionConfig(0.16, 21))
 
     def test_offsets_beyond_window_radius_stay_exact(self):
-        # lambda 5 needs a radius of 4 cells, which window 9 allows; the
+        # lambda 5 needs a radius of 2 cells, which window 9 allows; the
         # block follows the source 9 cells out, past the window radius
         X = _peak(16, 16, 8, 8)
         big = np.full((16, 16), 9.0)
@@ -174,9 +184,9 @@ class TestSmoothedTarget:
     def test_equals_zero_offset_reconstruction(self):
         rng = np.random.default_rng(11)
         X = (rng.random((20, 20)) < 0.1) * rng.random((20, 20))
-        cfg = ReconstructionConfig(1.4, 15)
+        cfg = ReconstructionConfig(1.4, 15)   # needs a radius of 8 cells; 15 caps it at 7
         zeros = np.zeros((20, 20))
-        assert np.array_equal(smoothed_target(X, cfg), reconstruct(X, (zeros, zeros), cfg))
+        assert np.array_equal(smoothed_target(X, cfg), _reconstruct_capped(X, (zeros, zeros), cfg))
 
 
 class TestReconstructBackward:
@@ -200,7 +210,7 @@ class TestReconstructBackward:
             analytic = {"x": g.d_heatmap, "dx": g.d_offset_x, "dy": g.d_offset_y}[wrt]
 
             def value(Xv, dxv, dyv):
-                return float((up * reconstruct(Xv, (dxv, dyv), cfg)).sum())
+                return float((up * _reconstruct_capped(Xv, (dxv, dyv), cfg)).sum())
 
             for (i, j) in [(0, 0), (3, 4), (7, 7), (2, 6)]:
                 args = {"x": X.copy(), "dx": dx.copy(), "dy": dy.copy()}

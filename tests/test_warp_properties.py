@@ -1,4 +1,5 @@
 """Property-based checks of the windowed warp against its oracles."""
+import math
 import warnings
 
 import numpy as np
@@ -8,9 +9,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from groundflow.warp import (  # noqa: E402
+    EPSILON,
     ReconstructionConfig,
     WarpPlan,
     WarpWorkspace,
+    block_radius,
     grad_offsets_with_plan,
     reconstruct,
     reconstruct_backward,
@@ -37,9 +40,21 @@ def _scene(seed: int, density: float, reach: float):
 seeds = st.integers(0, 2**32 - 1)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lam=st.floats(0.05, 50.0))
+def test_block_radius_is_the_smallest_exact_one(lam):
+    # W < EPSILON from the reach on, and a cell outside a radius-R block
+    # lies at least R + 1/2 from the displaced source
+    reach = (10.0 + math.log(1.0 / EPSILON)) / (4.0 * lam)
+    r = block_radius(lam, 1001)
+    assert r < 500   # the window does not cap it
+    assert r + 0.5 >= reach
+    assert r == 0 or r - 0.5 < reach
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=seeds, window_lam=st.one_of(
-    st.tuples(st.just(21), st.floats(1.24, 5.0)),
+    st.tuples(st.just(21), st.floats(1.07, 5.0)),
     st.tuples(st.just(59), st.floats(0.8, 5.0)),
 ))
 def test_windowed_equals_dense_up_to_the_clamp(seed, window_lam):
