@@ -172,10 +172,10 @@ def loss_fb_grad(delta_fwd, delta_bwd):
     g_fdx = (rx2 * (1.0 + dsx_dx) + ry2 * dsy_dx).reshape(h, w)
     g_fdy = (rx2 * dsx_dy + ry2 * (1.0 + dsy_dy)).reshape(h, w)
     # scatter 2r onto the four corner cells, corner by corner
-    weights = (gx * gy, fx * gy, gx * fy, fx * fy)
-    g_bdx = np.bincount(corners[0], weights=rx2 * weights[0], minlength=h * w)
-    g_bdy = np.bincount(corners[0], weights=ry2 * weights[0], minlength=h * w)
-    for c, wgt in zip(corners[1:], weights[1:]):
+    corner_w = (gx * gy, fx * gy, gx * fy, fx * fy)
+    g_bdx = np.bincount(corners[0], weights=rx2 * corner_w[0], minlength=h * w)
+    g_bdy = np.bincount(corners[0], weights=ry2 * corner_w[0], minlength=h * w)
+    for c, wgt in zip(corners[1:], corner_w[1:]):
         g_bdx += np.bincount(c, weights=rx2 * wgt, minlength=h * w)
         g_bdy += np.bincount(c, weights=ry2 * wgt, minlength=h * w)
     return value, g_fdx, g_fdy, g_bdx.reshape(h, w), g_bdy.reshape(h, w)

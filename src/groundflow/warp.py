@@ -5,16 +5,15 @@ time t+1: every output cell j accumulates x_i * W(||j - (i + delta_i)||)
 over source cells i, where W is a logistic weight that decays with
 distance. The production path spreads each source over a square block
 of (2R + 1)^2 output cells centred on the cell nearest its displaced
-position i + delta_i. That centre is within half a cell of the displaced
-position per component, so a cell outside the block lies at least
-R + 1/2 from it. R = block_radius(lambda_r, window_cells) is the
-smallest radius at which that half-cell bound puts every cell left out
-below the weight EPSILON, capped by the window radius; below the cap
-the block follows the source to any offset, so the windowed pass equals
-the dense sum up to weights below EPSILON. The window caps R when
-lambda_r is soft: at window 21 (radius 10) for lambda_r < 1.06045, where
-weights above EPSILON are cut off. The dense path is the O(N^2) oracle
-used for verification.
+position i + delta_i, so every cell outside the block lies at least
+R + 1/2 from that position (the half-cell bound).
+R = block_radius(lambda_r, window_cells) is the smallest radius for
+which that bound puts every cell left out below the weight EPSILON,
+capped by the window radius. Below the cap the block follows the source
+to any offset, so the windowed pass equals the dense sum up to weights
+below EPSILON. The window caps R for soft lambda_r, at window 21
+(radius 10) for lambda_r < 1.06045, and then cuts off weights above
+EPSILON. The dense path is the O(N^2) oracle used for verification.
 
 Every S x (2R + 1)^2 step (S nonzero sources) writes into the prefix
 views of a WarpWorkspace, so a fit that keeps one workspace allocates
