@@ -67,8 +67,6 @@ def _get(kv: dict, key: str, cast, default, used: set | None = None):
         return default
     raw = kv[key]
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
     except ValueError as e:
         raise ConfigError(f"config key {key}: cannot parse {raw!r}") from e
@@ -83,6 +81,17 @@ def _str_list(raw: str) -> tuple[str, ...]:
 
 
 def load_experiment_config(path: str | None, seed_override: int | None = None) -> ExperimentConfig:
+    """The experiment config of a key file, or the defaults without one.
+    Unknown keys and out-of-range values raise ConfigError."""
+    try:
+        return _load_experiment_config(path, seed_override)
+    except GroundflowError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"config value out of range: {e}") from e
+
+
+def _load_experiment_config(path: str | None, seed_override: int | None) -> ExperimentConfig:
     kv = io.read_kv(path) if path else {}
     used: set = set()
     _g = partial(_get, kv, used=used)

@@ -37,12 +37,16 @@ def split_kmeans2(confidences) -> float:
     return 0.5 * (c_lo + c_hi)
 
 
-def select_true_detections(dets: list[Detection], min_separation: float = 0.25
-                           ) -> tuple[list[Detection], float]:
+# the least gap between the two confidence centroids that counts as a
+# noise cluster
+MIN_SEPARATION = 0.25
+
+
+def select_true_detections(dets: list[Detection]) -> tuple[list[Detection], float]:
     """Apply the 2-means split; keep everything when no noise cluster exists.
 
     The split only activates when the two centroids are separated by at
-    least `min_separation` — a unimodal confidence distribution (e.g. a
+    least `MIN_SEPARATION` — a unimodal confidence distribution (e.g. a
     clean scene with no false positives) is left intact.
     """
     if not dets:
@@ -53,6 +57,6 @@ def select_true_detections(dets: list[Detection], min_separation: float = 0.25
     high = confs[confs > threshold]
     if low.size == 0 or high.size == 0:
         return list(dets), threshold
-    if float(high.mean() - low.mean()) < min_separation:
+    if float(high.mean() - low.mean()) < MIN_SEPARATION:
         return list(dets), threshold
     return [d for d in dets if d.confidence > threshold], threshold

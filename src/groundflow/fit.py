@@ -69,6 +69,8 @@ class FitConfig:
             raise ValueError("epochs must be >= 1")
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
+        if self.window_cells < 3 or self.window_cells % 2 == 0:
+            raise ValueError("window_cells must be odd and >= 3")
 
 
 @dataclass(frozen=True)

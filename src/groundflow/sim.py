@@ -194,9 +194,10 @@ def _offsets_from_positions(positions: np.ndarray, grid: GroundGrid, stride: int
     return tuple(fields), tuple(cells_per_pair)
 
 
-def corrupt_detections(truth: SceneTruth, cfg: SceneConfig | None = None) -> list[list[Detection]]:
-    """Miss/jitter/false-positive corruption of the ground-truth points."""
-    cfg = cfg or truth.config
+def corrupt_detections(truth: SceneTruth) -> list[list[Detection]]:
+    """Miss/jitter/false-positive corruption of the ground-truth points,
+    at the rates of the scene's config."""
+    cfg = truth.config
     w, h = cfg.grid.width_cells, cfg.grid.height_cells
     seed = cfg.seed
     frames: list[list[Detection]] = []

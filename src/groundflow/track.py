@@ -1,6 +1,6 @@
 """Data association: motion-aware min-cost-flow tracking plus online
-baselines (greedy nearest, Hungarian bipartite, constant-velocity
-Kalman, and two-stage ground-plane-IoU association).
+baselines (greedy nearest, Hungarian bipartite, and two-stage
+ground-plane-IoU association with Kalman or learned motion).
 
 The flow tracker scores every detection with entry, observation and
 exit costs (the observation cost is negative and rewards confident
@@ -18,6 +18,12 @@ one numpy block per source frame. Among equal-cost optima the result is
 whichever one LAPJVsp returns for the sparse matrix built in that
 order: deterministic, but not necessarily the optimum a
 successive-shortest-paths solver would pick.
+
+The two-stage tracker (`run_two_stage`, after ByteTrack) holds its live
+tracks as rows of parallel arrays, so each frame's motion step, IoU
+matching and Kalman update are a few array operations. The batched
+Kalman steps equal the per-state `kalman_predict`/`kalman_update` bit
+for bit; those stay as the reference.
 """
 from __future__ import annotations
 
@@ -348,8 +354,8 @@ class KalmanState:
         """A state computed by kalman_predict/kalman_update from a valid one.
 
         Skips the symmetry and eigenvalue checks: the filter re-symmetrizes
-        the covariance itself, and checking every step dominated the
-        two-stage tracker's time.
+        the covariance itself. Only the scalar steps call it; they serve as
+        the reference for the batched steps the two-stage tracker runs.
         """
         state = object.__new__(cls)
         mean.setflags(write=False)
@@ -363,7 +369,16 @@ class KalmanState:
         return (float(self.mean[0]), float(self.mean[1]))
 
 
-def kalman_predict(s: KalmanState, dt: float, process_noise: float = 0.01) -> KalmanState:
+# constant-velocity filter noise and the covariance of a new track's filter
+PROCESS_NOISE = 0.01
+MEAS_NOISE = 0.25
+INIT_POS_VAR = 1.0
+INIT_VEL_VAR = 10.0
+_INIT_COV = np.diag([INIT_POS_VAR, INIT_POS_VAR, INIT_VEL_VAR, INIT_VEL_VAR])
+
+
+def kalman_predict(s: KalmanState, dt: float,
+                   process_noise: float = PROCESS_NOISE) -> KalmanState:
     """Constant-velocity predict; process noise scales with dt (dt=0 is a no-op)."""
     F = np.eye(4)
     F[0, 2] = dt
@@ -374,7 +389,7 @@ def kalman_predict(s: KalmanState, dt: float, process_noise: float = 0.01) -> Ka
     return KalmanState._from_filter(mean, cov)
 
 
-def kalman_update(s: KalmanState, pos, meas_noise: float = 0.25) -> KalmanState:
+def kalman_update(s: KalmanState, pos, meas_noise: float = MEAS_NOISE) -> KalmanState:
     """Linear position-measurement update; covariance re-symmetrized."""
     H = np.zeros((2, 4))
     H[0, 0] = 1.0
@@ -394,7 +409,7 @@ def _swap(m: np.ndarray) -> np.ndarray:
 
 
 def kalman_predict_batch(means: np.ndarray, covs: np.ndarray, dts: np.ndarray,
-                         process_noise: float = 0.01) -> tuple[np.ndarray, np.ndarray]:
+                         process_noise: float = PROCESS_NOISE) -> tuple[np.ndarray, np.ndarray]:
     """`kalman_predict` of every row of (T, 4) means and (T, 4, 4)
     covariances, row t by dts[t]. The same matmuls run on the stack, so
     each row equals the scalar call bit for bit."""
@@ -409,7 +424,7 @@ def kalman_predict_batch(means: np.ndarray, covs: np.ndarray, dts: np.ndarray,
 
 
 def kalman_update_batch(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
-                        meas_noise: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
+                        meas_noise: float = MEAS_NOISE) -> tuple[np.ndarray, np.ndarray]:
     """`kalman_update` of every row of (T, 4) means and (T, 4, 4)
     covariances by the (T, 2) positions zs, bit for bit as the scalar
     call."""
@@ -424,48 +439,19 @@ def kalman_update_batch(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
     return mean, cov
 
 
-def _step_filters(tracks: list, step, *args) -> np.ndarray:
-    """Run the filters of `tracks` through one batched step (`step` is
-    kalman_predict_batch or kalman_update_batch); track t gets row t.
-    Returns the stepped means."""
-    means, covs = step(np.array([tr.kalman.mean for tr in tracks]),
-                       np.array([tr.kalman.cov for tr in tracks]), *args)
-    for tr, mean, cov in zip(tracks, means, covs):
-        tr.kalman = KalmanState._from_filter(mean, cov)
-    return means
-
-
 @dataclass(frozen=True)
 class TwoStageConfig:
     box_side: float = 5.0
     iou_threshold: float = 0.1
     max_age: int = 3
-    process_noise: float = 0.01
-    meas_noise: float = 0.25
-    init_pos_var: float = 1.0
-    init_vel_var: float = 10.0
 
-
-class OnlineTrack:
-    """Mutable state of one track in the two-stage tracker."""
-
-    def __init__(self, tid: int, det: Detection, cfg: TwoStageConfig, use_kalman: bool):
-        self.id = tid
-        self.points = [(det.time, det.x, det.y)]
-        self.last_time = det.time
-        self.misses = 0
-        self.kalman: KalmanState | None = None
-        if use_kalman:
-            self.kalman = KalmanState(
-                np.array([det.x, det.y, 0.0, 0.0]),
-                np.diag([cfg.init_pos_var, cfg.init_pos_var,
-                         cfg.init_vel_var, cfg.init_vel_var]),
-            )
-
-    @property
-    def pos(self) -> tuple[float, float]:
-        _, x, y = self.points[-1]
-        return (x, y)
+    def __post_init__(self):
+        if not self.box_side > 0:
+            raise ValueError("box_side must be positive")
+        if not 0.0 <= self.iou_threshold <= 1.0:
+            raise ValueError("iou_threshold must be in [0, 1]")
+        if self.max_age < 0:
+            raise ValueError("max_age must be >= 0")
 
 
 def _square_iou(c1, c2, side: float) -> float:
@@ -487,119 +473,83 @@ def _square_iou_cost(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
     return 1.0 - iou
 
 
-MOTION_SOURCES = ("kalman", "learned-offset", "none")
-
-
-def associate_two_stage(tracks: list[OnlineTrack], detections: list[Detection],
-                        motion_source: str, conf_split: float,
-                        cfg: TwoStageConfig = TwoStageConfig(),
-                        fwd_field: OffsetField | None = None,
-                        frame: int | None = None,
-                        next_id: int = 0) -> tuple[list[OnlineTrack], int]:
-    """One frame of two-stage ground-plane association.
-
-    Stage 1 matches high-confidence detections (conf >= conf_split) to
-    motion-extrapolated track heads by IoU of side-length squares;
-    stage 2 offers the leftovers the low-confidence detections. Returns
-    the surviving tracks and the next unused track id.
-
-    The heads are extrapolated all at once: with Kalman motion one
-    `kalman_predict_batch` over every track that has a filter, with
-    learned motion one sampling of the field per component. After the
-    matching, one `kalman_update_batch` updates every matched track
-    that has a filter. Both steps equal the per-track
-    `kalman_predict`/`kalman_update` bit for bit.
-    """
-    if motion_source not in MOTION_SOURCES:
-        raise ValueError(f"motion_source must be one of {MOTION_SOURCES}")
-    if frame is None:
-        if not detections:
-            raise ValueError("frame index required when the detection list is empty")
-        frame = detections[0].time
-
-    # track heads extrapolated to this frame, one row per track
-    predicted = np.array([tr.pos for tr in tracks], dtype=np.float64).reshape(-1, 2)
-    gaps = np.array([frame - tr.last_time for tr in tracks], dtype=np.int64)
-    if motion_source == "kalman":
-        kal = [i for i, tr in enumerate(tracks) if tr.kalman is not None]
-        if kal:
-            means = _step_filters([tracks[i] for i in kal], kalman_predict_batch,
-                                  gaps[kal], cfg.process_noise)
-            predicted[kal] = means[:, :2]
-    elif motion_source == "learned-offset" and fwd_field is not None:
-        xs, ys = predicted[:, 0], predicted[:, 1]
-        predicted = np.column_stack([xs + gaps * bilinear_sample(fwd_field.dx, xs, ys),
-                                     ys + gaps * bilinear_sample(fwd_field.dy, xs, ys)])
-
-    high = [d for d in detections if d.confidence >= conf_split]
-    low = [d for d in detections if d.confidence < conf_split]
-
-    def match(track_ids: list[int], dets: list[Detection]) -> tuple[dict[int, Detection], set[int]]:
-        if not track_ids or not dets:
-            return {}, set()
-        cost = _square_iou_cost(predicted[track_ids],
-                                np.array([(d.x, d.y) for d in dets]), cfg.box_side)
-        pairs = associate_hungarian(
-            [tracks[t] for t in track_ids], dets, cost=cost,
-            cutoff=1.0 - cfg.iou_threshold,
-        )
-        assigned = {track_ids[a]: dets[b] for a, b in pairs}
-        used = {id(dets[b]) for _, b in pairs}
-        return assigned, used
-
-    all_ids = list(range(len(tracks)))
-    assigned1, used1 = match(all_ids, high)
-    remaining = [i for i in all_ids if i not in assigned1]
-    assigned2, used2 = match(remaining, low)
-    assigned = {**assigned1, **assigned2}
-
-    survivors: list[OnlineTrack] = []
-    measured: list[OnlineTrack] = []
-    for i, tr in enumerate(tracks):
-        det = assigned.get(i)
-        if det is not None:
-            tr.points.append((det.time, det.x, det.y))
-            tr.last_time = det.time
-            tr.misses = 0
-            if tr.kalman is not None:
-                measured.append(tr)
-            survivors.append(tr)
-        else:
-            tr.misses += 1
-            if tr.misses <= cfg.max_age:
-                survivors.append(tr)
-    if measured:
-        zs = np.array([tr.pos for tr in measured], dtype=np.float64)
-        _step_filters(measured, kalman_update_batch, zs, cfg.meas_noise)
-
-    for d in high:
-        if id(d) not in used1:
-            survivors.append(OnlineTrack(next_id, d, cfg, motion_source == "kalman"))
-            next_id += 1
-    return survivors, next_id
+MOTION_SOURCES = ("kalman", "learned-offset")
 
 
 def run_two_stage(frames: list[list[Detection]], motion_source: str,
                   fwd_fields=None, conf_split: float = 0.5,
                   cfg: TwoStageConfig = TwoStageConfig()) -> list[Trajectory]:
-    """Run the two-stage tracker over a detection sequence.
+    """Two-stage ground-plane IoU tracking over a detection sequence
+    (frame t holds the detections of time t).
 
-    Tracks are mutated in place, so an archive of every track ever
-    created yields the full output including terminated ones. Each
-    frame steps the filters of all its live tracks as one array
-    operation (see `associate_two_stage`).
+    The live tracks are rows of parallel arrays in birth order: track
+    id, time of the last detection, misses since, the last detection's
+    position and, with Kalman motion, the filter means (T, 4) and
+    covariances (T, 4, 4). Each frame extrapolates every head to t, by
+    one `kalman_predict_batch` over all rows or by the learned forward
+    field of pair t - 1 (offset times the frame gap, sampled at the last
+    detection); with no field the heads stay put. Stage 1 matches the
+    high-confidence detections (conf >= conf_split) to the heads by the
+    Hungarian method on 1 - IoU of box_side squares; stage 2 offers the
+    unmatched rows the low-confidence ones. One `kalman_update_batch`
+    measures the matched rows, rows missed more than max_age frames in
+    a row are dropped, and every unmatched high-confidence detection
+    starts a track. Returns every track ever started, by id.
     """
-    active: list[OnlineTrack] = []
-    archive: dict[int, OnlineTrack] = {}
-    next_id = 0
+    if motion_source not in MOTION_SOURCES:
+        raise ValueError(f"motion_source must be one of {MOTION_SOURCES}")
+    kalman = motion_source == "kalman"
+    points: list[list[tuple]] = []
+    ids = np.zeros(0, np.int64)
+    last = np.zeros(0, np.int64)
+    misses = np.zeros(0, np.int64)
+    heads = np.zeros((0, 2))
+    means, covs = np.zeros((0, 4)), np.zeros((0, 4, 4))
     for t, dets in enumerate(frames):
-        fwd = None
-        if fwd_fields is not None and t >= 1 and t - 1 < len(fwd_fields):
-            fwd = fwd_fields[t - 1]
-        active, next_id = associate_two_stage(
-            active, dets, motion_source, conf_split,
-            cfg=cfg, fwd_field=fwd, frame=t, next_id=next_id,
-        )
-        for tr in active:
-            archive.setdefault(tr.id, tr)
-    return [Trajectory(tid, tuple(archive[tid].points)) for tid in sorted(archive)]
+        gaps = t - last
+        pred = heads
+        if kalman:
+            means, covs = kalman_predict_batch(means, covs, gaps)
+            pred = means[:, :2]
+        elif fwd_fields is not None and 1 <= t <= len(fwd_fields):
+            fld = fwd_fields[t - 1]
+            xs, ys = heads[:, 0], heads[:, 1]
+            pred = np.column_stack([xs + gaps * bilinear_sample(fld.dx, xs, ys),
+                                    ys + gaps * bilinear_sample(fld.dy, xs, ys)])
+
+        xy = np.array([(d.x, d.y) for d in dets], dtype=np.float64).reshape(-1, 2)
+        times = np.array([d.time for d in dets], dtype=np.int64)
+        high = np.array([d.confidence >= conf_split for d in dets], dtype=bool)
+        unmatched = high.copy()   # the detections that start a track
+        match = np.full(len(ids), -1)   # row -> index of its detection in dets
+        for cand in (np.flatnonzero(high), np.flatnonzero(~high)):
+            rows = np.flatnonzero(match < 0)
+            if len(rows) and len(cand):
+                cost = _square_iou_cost(pred[rows], xy[cand], cfg.box_side)
+                pairs = associate_hungarian(rows, cand, cost=cost,
+                                            cutoff=1.0 - cfg.iou_threshold)
+                a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+                match[rows[a]] = cand[b]
+
+        hit = np.flatnonzero(match >= 0)
+        k = match[hit]
+        unmatched[k] = False
+        for r, d in zip(ids[hit].tolist(), k.tolist()):
+            points[r].append((dets[d].time, dets[d].x, dets[d].y))
+        last[hit] = times[k]
+        heads[hit] = xy[k]
+        misses = np.where(match >= 0, 0, misses + 1)
+        if kalman:
+            means[hit], covs[hit] = kalman_update_batch(means[hit], covs[hit], xy[k])
+
+        keep = misses <= cfg.max_age
+        born = np.flatnonzero(unmatched)
+        ids = np.concatenate([ids[keep], np.arange(len(points), len(points) + len(born))])
+        points += [[(dets[d].time, dets[d].x, dets[d].y)] for d in born.tolist()]
+        last = np.concatenate([last[keep], times[born]])
+        misses = np.concatenate([misses[keep], np.zeros(len(born), np.int64)])
+        heads = np.concatenate([heads[keep], xy[born]])
+        if kalman:
+            means = np.concatenate([means[keep], np.pad(xy[born], ((0, 0), (0, 2)))])
+            covs = np.concatenate([covs[keep], np.broadcast_to(_INIT_COV, (len(born), 4, 4))])
+    return [Trajectory(tid, tuple(pts)) for tid, pts in enumerate(points)]

@@ -402,10 +402,11 @@ def reconstruct(X, delta, cfg: ReconstructionConfig) -> np.ndarray:
     return reconstruct_with_plan(plan, dx, dy, cfg.lambda_r)
 
 
-def reconstruct_dense(X, delta, lambda_r: float, chunk_rows: int = 8) -> np.ndarray:
+def reconstruct_dense(X, delta, lambda_r: float) -> np.ndarray:
     """O(N^2) oracle: the same sum without any windowing.
 
-    Intended for small grids; memory is bounded by chunking output rows.
+    Intended for small grids; memory is bounded by computing 8 output
+    rows at a time.
     """
     values = _values_of(X)
     dx, dy = _offsets_of(delta)
@@ -418,7 +419,7 @@ def reconstruct_dense(X, delta, lambda_r: float, chunk_rows: int = 8) -> np.ndar
     out = np.empty(h * w)
     jx_all = xx.ravel().astype(np.float64)
     jy_all = yy.ravel().astype(np.float64)
-    step = max(1, chunk_rows) * w
+    step = 8 * w
     for j0 in range(0, h * w, step):
         j1 = min(j0 + step, h * w)
         dxm = jx_all[j0:j1, None] - cx[None, :]

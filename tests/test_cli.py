@@ -56,6 +56,17 @@ class TestConfig:
             rc = _run("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
             assert rc == 2, line
 
+    @pytest.mark.parametrize("line", [
+        "edges.max_gap = 0", "fit.epochs = 0", "fit.lambda_fb = -1", "scene.width = 0",
+        "fit.schedule_cap = 0.1", "fit.window = 4", "fit.window = 1", "track.box_side = -3",
+        "track.iou_threshold = 1.5", "track.max_age = -1",
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(line + "\n")
+        rc = _run("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert rc == 2
+
     def test_strides_must_be_sorted(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("sweep.strides = 5,1\n")

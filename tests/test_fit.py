@@ -169,8 +169,9 @@ class TestFitOffsets:
         for ra, rb, rc in zip(a, b, c):
             _assert_same_bits(ra, rb)
             _assert_same_bits(ra, rc)
-        # nothing carries over from one pair's fit to the next: a pair
-        # fitted after another gives the bits it gives alone
+        # consecutive pairs hand their shared frame's targets on, but that
+        # saves work only: a pair fitted after another, or in reverse
+        # order, gives the bits it gives alone
         _assert_same_bits(fit_offsets(pairs[1:2], fit_cfg, cfg_s.grid)[0], a[1])
         for rr, ra in zip(fit_offsets(pairs[::-1], fit_cfg, cfg_s.grid), a[::-1]):
             _assert_same_bits(rr, ra)

@@ -5,6 +5,7 @@ import pytest
 
 from groundflow.core import GroundGrid, OffsetField, Trajectory
 from groundflow.errors import UndefinedMetric
+from groundflow.fit import FitResult
 from groundflow.metrics import MotReport, clear_mot, mean_offset_report, offset_error
 from groundflow.pipeline import track_detections
 from groundflow.sim import SceneConfig, corrupt_detections, generate_scene
@@ -108,6 +109,21 @@ class TestClearMot:
         }
         for mode, report in expected.items():
             assert clear_mot(track_detections(dets, mode), list(truth.trajectories)) == report
+
+    def test_pinned_crowd_offset_report(self):
+        # the same crowd tracked by bytestyle-offset with the true forward
+        # offsets as the fitted fields; recorded with the per-track
+        # two-stage tracker and compared exactly
+        cfg = SceneConfig(grid=GroundGrid(140, 140), num_agents=50, num_frames=40,
+                          speed_cells=(0.8, 1.8), miss_rate=0.03,
+                          fp_rate_per_frame=1.875, jitter_sigma_cells=0.15, seed=200)
+        truth = generate_scene(cfg)
+        fits = [FitResult(f, f, ()) for f in truth.gt_offsets]
+        pred = track_detections(corrupt_detections(truth), "bytestyle-offset", fit_results=fits)
+        assert clear_mot(pred, list(truth.trajectories)) == MotReport(
+            mota=0.9665, motp=0.2009933248312438, idf1=0.9298556596606736,
+            idp=0.9420215495125706, idr=0.918,
+            gt=2000, fp=1, fn=52, idsw=14, matches=1948)
 
     def test_json_field_names(self):
         gt = _grid_tracks(2, 3)

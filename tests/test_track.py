@@ -8,16 +8,15 @@ from groundflow.errors import InstanceTooLarge, NonSpdCovariance
 from groundflow.pipeline import filter_noise_detections
 from groundflow.sim import SceneConfig, corrupt_detections, generate_scene
 from groundflow.track import (
+    MOTION_SOURCES,
     EdgeCostParams,
     KalmanState,
-    OnlineTrack,
     TrackingGraph,
     TwoStageConfig,
     _square_iou,
     _square_iou_cost,
     associate_hungarian,
     associate_nearest,
-    associate_two_stage,
     brute_force_detailed,
     build_graph,
     cover_cost,
@@ -305,77 +304,55 @@ class TestKalman:
             KalmanState(np.zeros(4), bad)
 
 
+def _pts(track):
+    return [p[1:] for p in track.points]
+
+
 class TestTwoStage:
     def test_overlapping_detection_matches(self):
-        cfg = TwoStageConfig(box_side=5.0)
-        tracks = [OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=False)]
-        dets = [Detection(1, 11.0, 10.5, 0.95)]
-        out, next_id = associate_two_stage(tracks, dets, "none", 0.5, cfg=cfg)
-        assert next_id == 0
-        assert len(out) == 1
-        assert out[0].points[-1] == (1, 11.0, 10.5)
+        frames = [[Detection(0, 10.0, 10.0, 0.9)], [Detection(1, 11.0, 10.5, 0.95)]]
+        out = run_two_stage(frames, "learned-offset", cfg=TwoStageConfig(box_side=5.0))
+        assert [tr.id for tr in out] == [0]
+        assert out[0].points == ((0, 10.0, 10.0), (1, 11.0, 10.5))
 
     def test_large_displacement_needs_learned_offset(self):
         cfg = TwoStageConfig(box_side=4.0)
         grid = GroundGrid(32, 32)
         fwd = OffsetField(grid, np.full((32, 32), 8.0), np.zeros((32, 32)))
-        dets = [Detection(1, 18.0, 10.0, 0.95)]  # 8 cells right of the track head
-
-        tracks = [OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=False)]
-        out, _ = associate_two_stage(tracks, dets, "none", 0.5, cfg=cfg)
-        assert len(out) == 2  # no overlap: old track ages, new one starts
-
-        tracks = [OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=False)]
-        out, _ = associate_two_stage(tracks, dets, "learned-offset", 0.5,
-                                     cfg=cfg, fwd_field=fwd)
-        assert len(out) == 1
-        assert out[0].points[-1] == (1, 18.0, 10.0)
+        # the second detection is 8 cells right of the track head
+        frames = [[Detection(0, 10.0, 10.0, 0.9)], [Detection(1, 18.0, 10.0, 0.95)]]
+        out = run_two_stage(frames, "learned-offset", cfg=cfg)
+        assert [_pts(tr) for tr in out] == [[(10.0, 10.0)], [(18.0, 10.0)]]
+        out = run_two_stage(frames, "learned-offset", fwd_fields=[fwd], cfg=cfg)
+        assert [_pts(tr) for tr in out] == [[(10.0, 10.0), (18.0, 10.0)]]
 
     def test_no_detections_age_and_expire(self):
+        # a track missed max_age frames in a row is still matched, one
+        # frame later it is gone and the detection starts a new track
         cfg = TwoStageConfig(max_age=2)
-        tracks = [OnlineTrack(0, Detection(0, 5.0, 5.0, 0.9), cfg, use_kalman=False)]
-        for t in range(1, 3):
-            tracks, _ = associate_two_stage(tracks, [], "none", 0.5,
-                                            cfg=cfg, frame=t)
-            assert len(tracks) == 1
-        tracks, _ = associate_two_stage(tracks, [], "none", 0.5, cfg=cfg, frame=3)
-        assert tracks == []
+        for gap, ids in ((3, [0]), (4, [0, 1])):
+            frames = ([[Detection(0, 5.0, 5.0, 0.9)]] + [[]] * (gap - 1)
+                      + [[Detection(gap, 5.0, 5.0, 0.9)]])
+            for motion in MOTION_SOURCES:
+                assert [tr.id for tr in run_two_stage(frames, motion, cfg=cfg)] == ids
 
     def test_low_confidence_cannot_start_tracks(self):
-        cfg = TwoStageConfig()
-        out, next_id = associate_two_stage([], [Detection(0, 3.0, 3.0, 0.2)],
-                                           "none", 0.5, cfg=cfg, frame=0)
-        assert out == [] and next_id == 0
+        for motion in MOTION_SOURCES:
+            assert run_two_stage([[Detection(0, 3.0, 3.0, 0.2)]], motion) == []
 
     def test_second_stage_rescues_with_low_confidence(self):
-        cfg = TwoStageConfig(box_side=5.0)
-        tracks = [OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=False)]
-        dets = [Detection(1, 10.5, 10.0, 0.2)]  # low confidence, overlapping
-        out, _ = associate_two_stage(tracks, dets, "none", 0.5, cfg=cfg)
-        assert out[0].points[-1] == (1, 10.5, 10.0)
+        # low confidence and overlapping: matched in stage 2, starts nothing
+        frames = [[Detection(0, 10.0, 10.0, 0.9)], [Detection(1, 10.5, 10.0, 0.2)]]
+        out = run_two_stage(frames, "learned-offset", cfg=TwoStageConfig(box_side=5.0))
+        assert [_pts(tr) for tr in out] == [[(10.0, 10.0), (10.5, 10.0)]]
 
-    def test_tracks_with_and_without_a_filter_mix(self):
-        cfg = TwoStageConfig(box_side=5.0)
-        a = OnlineTrack(0, Detection(0, 10.0, 10.0, 0.9), cfg, use_kalman=True)
-        b = OnlineTrack(1, Detection(0, 30.0, 30.0, 0.9), cfg, use_kalman=False)
-        c = OnlineTrack(2, Detection(0, 50.0, 50.0, 0.9), cfg, use_kalman=True)
-        a0, c0 = a.kalman, c.kalman
-        dets = [Detection(2, 11.0, 10.5, 0.95), Detection(2, 30.5, 29.0, 0.3)]
-        out, next_id = associate_two_stage([a, b, c], dets, "kalman", 0.5, cfg=cfg)
-        assert out == [a, b, c] and next_id == 0
-        assert b.kalman is None and b.points[-1] == (2, 30.5, 29.0)
-        # the matched filter is predicted over the gap of 2 and updated,
-        # the missed one only predicted
-        want = kalman_update(kalman_predict(a0, 2.0, cfg.process_noise), (11.0, 10.5),
-                             cfg.meas_noise)
-        assert np.array_equal(a.kalman.mean, want.mean) and np.array_equal(a.kalman.cov, want.cov)
-        want = kalman_predict(c0, 2.0, cfg.process_noise)
-        assert np.array_equal(c.kalman.mean, want.mean) and np.array_equal(c.kalman.cov, want.cov)
-        # without Kalman motion a matched filter is updated but not predicted
-        a1 = a.kalman
-        associate_two_stage([a, b], [Detection(3, 11.5, 10.5, 0.9)], "none", 0.5, cfg=cfg)
-        want = kalman_update(a1, (11.5, 10.5), cfg.meas_noise)
-        assert np.array_equal(a.kalman.mean, want.mean) and np.array_equal(a.kalman.cov, want.cov)
+    def test_bad_motion_source_and_config_rejected(self):
+        with pytest.raises(ValueError):
+            run_two_stage([], "none")
+        for bad in ({"box_side": 0.0}, {"iou_threshold": 1.5}, {"iou_threshold": -0.1},
+                    {"max_age": -1}):
+            with pytest.raises(ValueError):
+                TwoStageConfig(**bad)
 
     def test_iou_cost_matrix_equals_pairwise_iou(self):
         rng = np.random.default_rng(11)
