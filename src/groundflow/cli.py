@@ -45,10 +45,10 @@ class ExperimentConfig:
     fit: FitConfig
     edges: EdgeCostParams
     two_stage: TwoStageConfig
-    fps_strides: tuple[int, ...] = (1, 3, 5)
-    modes: tuple[str, ...] = ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset")
-    seeds: tuple[int, ...] = (0,)
-    dist_threshold: float = 2.5
+    fps_strides: tuple[int, ...]
+    modes: tuple[str, ...]
+    seeds: tuple[int, ...]
+    dist_threshold: float
 
     def __post_init__(self):
         if not self.fps_strides:
@@ -119,7 +119,6 @@ def _load_experiment_config(path: str | None, seed_override: int | None) -> Expe
         init=_g("fit.schedule_init", float, 0.8),
         increment=_g("fit.schedule_increment", float, 0.08),
         cap=_g("fit.schedule_cap", float, 5.0),
-        current=_g("fit.schedule_init", float, 0.8),
     )
     weights = LossWeights(
         lambda_fb=_g("fit.lambda_fb", float, 0.05),

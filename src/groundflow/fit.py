@@ -43,7 +43,6 @@ from .losses import (
     LambdaSchedule,
     LossWeights,
     loss_total,
-    schedule_step,
     se_neighborhoods,
 )
 from .warp import ReconstructionConfig, WarpPlan, WarpWorkspace, block_radius, smoothed_target
@@ -208,7 +207,7 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
     plan_t1 = WarpPlan(x_t1, cfg.window_cells)
     kept = _FrameTargets(plan_t1, deque()) if keep else None
     # lambda_r only rises, so the first epoch's block radius is the largest
-    k = 2 * block_radius(cfg.schedule.current, cfg.window_cells) + 1
+    k = 2 * block_radius(cfg.schedule.init, cfg.window_cells) + 1
     workspace = WarpWorkspace(max(plan_t.num_sources, plan_t1.num_sources) * k * k)
     hoods = (
         se_neighborhoods(x_t.shape, pair.points_t, cfg.se_radius),
@@ -218,13 +217,12 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
     fdx, fdy, bdx, bdy = params  # views: the steps below update them in place
     opt = _AdaptiveMoments(cfg.learning_rate, params.shape)
     clamp = (cfg.window_cells - 1) / 2.0
-    schedule = cfg.schedule
     trace = []
     targets, targets_lambda = None, None
-    for epoch in range(cfg.epochs):
+    for epoch, lambda_r in enumerate(cfg.schedule.values(cfg.epochs)):
         if epoch in cfg.lr_halving_epochs:
             opt.lr *= 0.5
-        rcfg = ReconstructionConfig(schedule.current, cfg.window_cells)
+        rcfg = ReconstructionConfig(lambda_r, cfg.window_cells)
         # the smoothed targets depend on lambda_r only, so once the
         # schedule sits at its cap they are reused as they are
         if rcfg.lambda_r != targets_lambda:
@@ -248,9 +246,8 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
             )
         opt.step(params, out.grad)
         np.clip(params, -clamp, clamp, out=params)
-        trace.append({"epoch": epoch, "lambda_r": schedule.current, "l_mot": out.l_mot,
+        trace.append({"epoch": epoch, "lambda_r": lambda_r, "l_mot": out.l_mot,
                       "l_fb": out.l_fb, "l_se": out.l_se, "total": out.total})
-        schedule = schedule_step(schedule)
     return FitResult(
         fwd=OffsetField(grid, fdx, fdy),
         bwd=OffsetField(grid, bdx, bdy),

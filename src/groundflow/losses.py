@@ -21,7 +21,7 @@ and scatters all points at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -62,15 +62,19 @@ class LambdaSchedule:
     init: float = 0.8
     increment: float = 0.08
     cap: float = 5.0
-    current: float = 0.8
 
     def __post_init__(self):
-        if not (self.init <= self.current <= self.cap):
-            raise ValueError("schedule requires init <= current <= cap")
+        # lambda_r must stay positive and only rise: a fit sizes its warp
+        # workspace for the first epoch's block radius
+        if not (0 < self.init <= self.cap and self.increment >= 0):
+            raise ValueError("schedule requires 0 < init <= cap and increment >= 0")
 
-
-def schedule_step(s: LambdaSchedule) -> LambdaSchedule:
-    return replace(s, current=min(s.current + s.increment, s.cap))
+    def values(self, epochs: int):
+        """lambda_r of each of `epochs` epochs, starting at `init`."""
+        lam = self.init
+        for _ in range(epochs):
+            yield lam
+            lam = min(lam + self.increment, self.cap)
 
 
 def _same_shape(a: np.ndarray, b: np.ndarray, what: str):

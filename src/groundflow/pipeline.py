@@ -39,9 +39,8 @@ def stride_adapted(fit_cfg: FitConfig, stride: int) -> FitConfig:
     """
     if stride <= 1:
         return fit_cfg
-    s = fit_cfg.schedule
-    init = s.init / stride
-    return replace(fit_cfg, schedule=replace(s, init=init, current=init))
+    return replace(fit_cfg, schedule=replace(fit_cfg.schedule,
+                                              init=fit_cfg.schedule.init / stride))
 
 
 def detection_heatmaps(frames: list[list[Detection]], grid: GroundGrid,
@@ -218,7 +217,7 @@ def zero_offset_report(truth: SceneTruth) -> OffsetReport:
     """The zero-motion baseline evaluated on a scene."""
     zero = OffsetField.zeros(truth.config.grid)
     return mean_offset_report(
-        offset_error(zero, truth, k) for k in range(len(truth.gt_offsets))
+        offset_error(zero, truth, k) for k in range(len(truth.gt_cells))
     )
 
 
@@ -242,7 +241,7 @@ def nearest_detection_report(truth: SceneTruth,
         detections = corrupt_detections(truth)
     grid = truth.config.grid
     reports = []
-    for k in range(len(truth.gt_offsets)):
+    for k in range(len(truth.gt_cells)):
         dx = np.zeros(grid.shape)
         dy = np.zeros(grid.shape)
         cur = detections[k] if k < len(detections) else []

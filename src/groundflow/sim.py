@@ -1,17 +1,21 @@
 """Deterministic synthetic ground-plane crowd scenes.
 
 Agents follow a constant-speed heading random walk with reflecting
-borders. The generator emits exact trajectories, per-frame ground-truth
-heatmaps (Gaussian peaks combined by per-cell max), per-pair ground
-truth offset fields defined at the agents' cells, and a corrupted
-detection stream (misses, positional jitter, confidence noise, uniform
-false positives). Everything is a pure function of the config seed via
-the counter-based streams in :mod:`groundflow.rng`.
+borders. A scene's truth is one read-only array of agent positions. The
+exact trajectories, per-frame points and per-pair offset rows at the
+agents' cells are derived from it when the truth is built; the dense
+per-frame heatmaps (Gaussian peaks combined by per-cell max) and
+per-pair offset fields on first read. Subsampling slices the positions.
+A corrupted detection stream (misses, positional jitter, confidence
+noise, uniform false positives) is drawn from the per-frame points.
+Everything is a pure function of the config seed via the counter-based
+streams in :mod:`groundflow.rng`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -72,21 +76,44 @@ class SceneConfig:
             raise ConfigError("grid too small for the configured max speed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # the generated __eq__ cannot compare ndarrays
 class SceneTruth:
-    """Simulator output: exact trajectories plus derived supervision."""
+    """Simulator output: one positions array and the truth derived from it.
+
+    `positions` (agents, frames, 2) is read-only. `trajectories`,
+    `gt_points` (per frame) and `gt_cells` (per pair: (cell_x, cell_y,
+    offset_dx, offset_dy) rows, the first agent to claim a cell winning)
+    are built with the truth. The dense `gt_heatmaps` and `gt_offsets`
+    (one field per pair, nonzero only at the `gt_cells` rows) are built
+    on first read and kept.
+    """
 
     config: SceneConfig
+    positions: np.ndarray
     trajectories: tuple[Trajectory, ...]
-    gt_heatmaps: tuple[Heatmap, ...]
-    gt_offsets: tuple[OffsetField, ...]          # one per frame pair
-    gt_points: tuple[tuple[tuple[float, float], ...], ...]   # per frame
+    gt_points: tuple[tuple[tuple[float, float], ...], ...]
     gt_cells: tuple[tuple[tuple[int, int, float, float], ...], ...]
-    # per pair: (cell_x, cell_y, offset_dx, offset_dy) rows
 
     @property
     def num_frames(self) -> int:
-        return len(self.gt_heatmaps)
+        return self.positions.shape[1]
+
+    @cached_property
+    def gt_heatmaps(self) -> tuple[Heatmap, ...]:
+        cfg = self.config
+        return tuple(render_heatmap(pts, cfg.grid, cfg.gaussian_sigma_cells,
+                                    cfg.gaussian_radius_cells)
+                     for pts in self.gt_points)
+
+    @cached_property
+    def gt_offsets(self) -> tuple[OffsetField, ...]:
+        fields = []
+        for rows in self.gt_cells:
+            dx, dy = np.zeros((2, *self.config.grid.shape))
+            for (cx, cy, ox, oy) in rows:
+                dx[cy, cx], dy[cy, cx] = ox, oy
+            fields.append(OffsetField(self.config.grid, dx, dy))
+        return tuple(fields)
 
 
 def render_heatmap(points, grid: GroundGrid, sigma: float, radius: float) -> Heatmap:
@@ -120,11 +147,6 @@ def _reflect_step(x: float, y: float, vx: float, vy: float, w: int, h: int):
     return x + vx, y + vy, vx, vy
 
 
-def _nearest_cell(px: float, py: float) -> tuple[int, int]:
-    # deterministic half-up rounding (no banker's rounding)
-    return int(math.floor(px + 0.5)), int(math.floor(py + 0.5))
-
-
 def generate_scene(cfg: SceneConfig) -> SceneTruth:
     w, h = cfg.grid.width_cells, cfg.grid.height_cells
     seed = cfg.seed
@@ -147,51 +169,40 @@ def generate_scene(cfg: SceneConfig) -> SceneTruth:
                 heading = math.atan2(vy2, vx2)
             positions[a, f] = (x, y)
 
+    return _truth(cfg, positions)
+
+
+def _truth(cfg: SceneConfig, positions: np.ndarray) -> SceneTruth:
+    """The scene truth of `positions` (agents, frames, 2), made read-only."""
+    positions.setflags(write=False)
+    num_agents, num_frames, _ = positions.shape
     trajectories = tuple(
         Trajectory(a, tuple((f, positions[a, f, 0], positions[a, f, 1])
-                            for f in range(cfg.num_frames)))
-        for a in range(cfg.num_agents)
+                            for f in range(num_frames)))
+        for a in range(num_agents)
     )
     gt_points = tuple(
-        tuple((positions[a, f, 0], positions[a, f, 1]) for a in range(cfg.num_agents))
-        for f in range(cfg.num_frames)
+        tuple((positions[a, f, 0], positions[a, f, 1]) for a in range(num_agents))
+        for f in range(num_frames)
     )
-    gt_heatmaps = tuple(
-        render_heatmap(gt_points[f], cfg.grid, cfg.gaussian_sigma_cells,
-                       cfg.gaussian_radius_cells)
-        for f in range(cfg.num_frames)
-    )
-    gt_offsets, gt_cells = _offsets_from_positions(positions, cfg.grid, stride=1)
-    return SceneTruth(cfg, trajectories, gt_heatmaps, gt_offsets, gt_points, gt_cells)
+    return SceneTruth(cfg, positions, trajectories, gt_points,
+                      _offsets_from_positions(positions))
 
 
-def _offsets_from_positions(positions: np.ndarray, grid: GroundGrid, stride: int):
-    """Per-pair offset fields at agent cells; first agent to claim a cell wins."""
-    num_agents, num_frames, _ = positions.shape
-    kept = list(range(0, num_frames, stride))
-    fields = []
-    cells_per_pair = []
-    for k in range(len(kept) - 1):
-        f0, f1 = kept[k], kept[k + 1]
-        dx = np.zeros(grid.shape)
-        dy = np.zeros(grid.shape)
-        taken = set()
-        rows = []
-        for a in range(num_agents):
-            cx, cy = _nearest_cell(positions[a, f0, 0], positions[a, f0, 1])
-            if (cx, cy) in taken:
-                continue
-            taken.add((cx, cy))
-            ox = positions[a, f1, 0] - positions[a, f0, 0]
-            oy = positions[a, f1, 1] - positions[a, f0, 1]
-            dy_i = min(max(cy, 0), grid.height_cells - 1)
-            dx_i = min(max(cx, 0), grid.width_cells - 1)
-            dx[dy_i, dx_i] = ox
-            dy[dy_i, dx_i] = oy
-            rows.append((dx_i, dy_i, ox, oy))
-        fields.append(OffsetField(grid, dx, dy))
-        cells_per_pair.append(tuple(rows))
-    return tuple(fields), tuple(cells_per_pair)
+def _offsets_from_positions(positions: np.ndarray):
+    """Per-pair (cell_x, cell_y, dx, dy) rows at the agents' cells in the
+    earlier frame; the first agent to claim a cell wins."""
+    # half-up rounding (no banker's rounding); positions lie on the grid
+    cells = np.floor(positions[:, :-1] + 0.5).astype(int).tolist()
+    steps = positions[:, 1:] - positions[:, :-1]
+    pairs = []
+    for f in range(positions.shape[1] - 1):
+        claims = {}
+        for a, agent_cells in enumerate(cells):
+            claims.setdefault(tuple(agent_cells[f]), a)
+        pairs.append(tuple((cx, cy, steps[a, f, 0], steps[a, f, 1])
+                           for (cx, cy), a in claims.items()))
+    return tuple(pairs)
 
 
 def corrupt_detections(truth: SceneTruth) -> list[list[Detection]]:
@@ -227,38 +238,17 @@ def corrupt_detections(truth: SceneTruth) -> list[list[Detection]]:
 def subsample_fps(obj, stride: int):
     """Keep frames 0, stride, 2*stride, ...; re-index times consecutively.
 
-    For a SceneTruth the per-pair offsets are re-derived as position
-    differences across the gap; for a detection stream only the kept
-    frames survive (with re-indexed times).
+    A SceneTruth is rebuilt from its positions at the kept frames, so
+    its offsets are position differences across the gap; for a
+    detection stream only the kept frames survive (with re-indexed
+    times).
     """
     if stride < 1:
         raise ConfigError("stride must be >= 1")
     if isinstance(obj, SceneTruth):
-        return _subsample_truth(obj, stride)
+        kept = obj.positions[:, ::stride]
+        return _truth(replace(obj.config, num_frames=kept.shape[1]), kept)
     return _subsample_detections(obj, stride)
-
-
-def _subsample_truth(truth: SceneTruth, stride: int) -> SceneTruth:
-    cfg = truth.config
-    kept = list(range(0, truth.num_frames, stride))
-    positions = np.zeros((cfg.num_agents, truth.num_frames, 2))
-    for a, traj in enumerate(truth.trajectories):
-        for (f, x, y) in traj.points:
-            positions[a, f] = (x, y)
-    gt_offsets, gt_cells = _offsets_from_positions(positions, cfg.grid, stride=stride)
-    trajectories = tuple(
-        Trajectory(traj.id, tuple((k, *traj.points[f][1:]) for k, f in enumerate(kept)))
-        for traj in truth.trajectories
-    )
-    new_cfg = replace(cfg, num_frames=len(kept))
-    return SceneTruth(
-        new_cfg,
-        trajectories,
-        tuple(truth.gt_heatmaps[f] for f in kept),
-        gt_offsets,
-        tuple(truth.gt_points[f] for f in kept),
-        gt_cells,
-    )
 
 
 def _subsample_detections(frames, stride: int):

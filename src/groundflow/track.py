@@ -485,10 +485,11 @@ def run_two_stage(frames: list[list[Detection]], motion_source: str,
     The live tracks are rows of parallel arrays in birth order: track
     id, time of the last detection, misses since, the last detection's
     position and, with Kalman motion, the filter means (T, 4) and
-    covariances (T, 4, 4). Each frame extrapolates every head to t, by
-    one `kalman_predict_batch` over all rows or by the learned forward
-    field of pair t - 1 (offset times the frame gap, sampled at the last
-    detection); with no field the heads stay put. Stage 1 matches the
+    covariances (T, 4, 4). Each frame extrapolates every head to t:
+    Kalman motion predicts every row's kept state one frame on, by one
+    `kalman_predict_batch`; learned offsets move the last detection by
+    the forward field of pair t - 1 sampled there, times the frames
+    since; with no field the heads stay put. Stage 1 matches the
     high-confidence detections (conf >= conf_split) to the heads by the
     Hungarian method on 1 - IoU of box_side squares; stage 2 offers the
     unmatched rows the low-confidence ones. One `kalman_update_batch`
@@ -506,13 +507,13 @@ def run_two_stage(frames: list[list[Detection]], motion_source: str,
     heads = np.zeros((0, 2))
     means, covs = np.zeros((0, 4)), np.zeros((0, 4, 4))
     for t, dets in enumerate(frames):
-        gaps = t - last
         pred = heads
         if kalman:
-            means, covs = kalman_predict_batch(means, covs, gaps)
+            means, covs = kalman_predict_batch(means, covs, np.ones(len(means)))
             pred = means[:, :2]
         elif fwd_fields is not None and 1 <= t <= len(fwd_fields):
             fld = fwd_fields[t - 1]
+            gaps = t - last
             xs, ys = heads[:, 0], heads[:, 1]
             pred = np.column_stack([xs + gaps * bilinear_sample(fld.dx, xs, ys),
                                     ys + gaps * bilinear_sample(fld.dy, xs, ys)])

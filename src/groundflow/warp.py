@@ -31,7 +31,6 @@ without changing any bit of the result.
 """
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,8 +41,6 @@ import numpy as np
 
 from .core import Heatmap, OffsetField
 from .errors import DimensionMismatch
-
-logger = logging.getLogger(__name__)
 
 # The exponent of the weight function is clamped to at most 60 before
 # exponentiation. No lower clamp is needed: from an exponent of -37 down,
@@ -387,9 +384,6 @@ def reconstruct(X, delta, cfg: ReconstructionConfig) -> np.ndarray:
     values = _values_of(X)
     dx, dy = _offsets_of(delta)
     _check_shapes(values, dx, dy)
-    max_dx = float(np.max(np.abs(dx))) if dx.size else 0.0
-    max_dy = float(np.max(np.abs(dy))) if dy.size else 0.0
-    logger.debug("reconstruct: max |dx| = %.3f, max |dy| = %.3f", max_dx, max_dy)
     needed = _uncapped_radius(cfg.lambda_r)
     if needed > cfg.window_radius:
         warnings.warn(

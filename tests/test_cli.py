@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -59,7 +60,8 @@ class TestConfig:
     @pytest.mark.parametrize("line", [
         "edges.max_gap = 0", "fit.epochs = 0", "fit.lambda_fb = -1", "scene.width = 0",
         "fit.schedule_cap = 0.1", "fit.window = 4", "fit.window = 1", "track.box_side = -3",
-        "track.iou_threshold = 1.5", "track.max_age = -1",
+        "track.iou_threshold = 1.5", "track.max_age = -1", "fit.schedule_init = 0",
+        "fit.schedule_increment = -0.1",
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, line):
         p = tmp_path / "bad.cfg"
@@ -110,6 +112,22 @@ class TestSimulate:
         for name in ("detections.csv", "truth_trajectories.csv",
                      "gt_heatmaps.bin", "gt_offsets.bin", "meta.cfg"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_output_bytes_are_pinned(self, tiny_cfg, tmp_path):
+        # SHA-256 of each file, recorded before the truth was rebuilt from one
+        # positions array; any change to simulate's output shows here
+        pinned = {
+            "meta.cfg": "eccd5b94c2b60b6aacb287bebc487d50d2942a4089420593fa27783b7ea179a5",
+            "detections.csv": "d0fbf7102ca648d4f5c961d6502ecd4a42eca74e1a55a6d1e78298f39cea2a67",
+            "truth_trajectories.csv":
+                "cd656ddbd7ac9920a9ece8bb9a0a2da8eb1c4c7e18c04b2c9a12e8e4f858bfcc",
+            "gt_heatmaps.bin": "2b1c9e2f9326485fb59c9f6185576c4e121682a45f99d1f9fcb5377f367d8f41",
+            "gt_offsets.bin": "0e3ff36d7433d09df80051b9edfb7ccd936c500a35a26d6dbba0aa56cf6c1b18",
+        }
+        out = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(out)) == 0
+        for name, digest in pinned.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestFitTrack:

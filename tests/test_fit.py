@@ -227,7 +227,7 @@ class TestTargetSharing:
 
     # 8 epochs over 3 distinct lambda_r: 0.8, 1.6 and the cap 2.4
     CFG = FitConfig(epochs=8, window_cells=15,
-                    schedule=LambdaSchedule(init=0.8, increment=0.8, cap=2.4, current=0.8))
+                    schedule=LambdaSchedule(init=0.8, increment=0.8, cap=2.4))
 
     @pytest.fixture(scope="class")
     def scene(self):

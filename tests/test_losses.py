@@ -9,7 +9,6 @@ from groundflow.losses import (
     loss_mot,
     loss_se,
     loss_total,
-    schedule_step,
     se_neighborhoods,
 )
 from groundflow.sim import render_heatmap
@@ -121,24 +120,30 @@ class TestLossSe:
 
 class TestSchedule:
     def test_paper_defaults_step(self):
-        s = LambdaSchedule()
-        assert s.current == 0.8
-        assert schedule_step(s).current == pytest.approx(0.88)
+        values = list(LambdaSchedule().values(2))
+        assert values[0] == 0.8
+        assert values[1] == pytest.approx(0.88)
 
     def test_cap_clamps(self):
-        s = LambdaSchedule(current=4.98)
-        assert schedule_step(s).current == 5.0
+        assert list(LambdaSchedule(init=4.98).values(3)) == [4.98, 5.0, 5.0]
 
     def test_reaches_cap_in_53_steps_and_stays(self):
-        s = LambdaSchedule()
-        for _ in range(53):
-            s = schedule_step(s)
-        assert s.current == 5.0
-        assert schedule_step(s).current == 5.0
+        values = list(LambdaSchedule().values(55))
+        assert len(values) == 55
+        assert values[52] < 5.0
+        assert values[53] == values[54] == 5.0
+
+    def test_each_value_adds_the_increment_to_the_last(self):
+        s = LambdaSchedule(init=0.3, increment=0.07, cap=1.0)
+        values = list(s.values(20))
+        assert values[0] == s.init
+        assert all(b == min(a + s.increment, s.cap) for a, b in zip(values, values[1:]))
+        assert list(s.values(0)) == []
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LambdaSchedule(init=1.0, current=0.5)
+        for bad in ({"init": 1.0, "cap": 0.5}, {"init": 0.0}, {"increment": -0.01}):
+            with pytest.raises(ValueError):
+                LambdaSchedule(**bad)
 
 
 class TestLossWeights:

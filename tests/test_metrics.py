@@ -102,10 +102,11 @@ class TestClearMot:
                 mota=0.9635, motp=0.20329150549364824, idf1=0.9252975436819448,
                 idp=0.9374037968188815, idr=0.9135,
                 gt=2000, fp=1, fn=52, idsw=20, matches=1948),
+            # recorded once the Kalman filter predicted one frame per frame
             "bytestyle-kalman": MotReport(
-                mota=0.969, motp=0.1885222481523897, idf1=0.9232717143580653,
-                idp=0.935351462288353, idr=0.9115,
-                gt=2000, fp=0, fn=51, idsw=11, matches=1949),
+                mota=0.9715, motp=0.18675646887972394, idf1=0.9445429222587997,
+                idp=0.956900974858902, idr=0.9325,
+                gt=2000, fp=0, fn=51, idsw=6, matches=1949),
         }
         for mode, report in expected.items():
             assert clear_mot(track_detections(dets, mode), list(truth.trajectories)) == report

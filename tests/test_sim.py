@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from groundflow import rng
+from groundflow import rng, sim
 from groundflow.core import GroundGrid
 from groundflow.errors import ConfigError, OutOfBoundsPoint
 from groundflow.sim import (
@@ -183,3 +183,29 @@ class TestSubsampleFps:
         for t, frame in enumerate(sub):
             for d in frame:
                 assert d.time == t
+
+
+class TestTruthFromPositions:
+    def test_dense_truth_is_rendered_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting_render(points, *args):
+            calls.append(points)
+            return render_heatmap(points, *args)
+
+        monkeypatch.setattr(sim, "render_heatmap", counting_render)
+        truth = generate_scene(_cfg(num_frames=6))
+        sub = subsample_fps(truth, 2)
+        corrupt_detections(truth)
+        corrupt_detections(sub)
+        assert calls == []
+        assert truth.gt_heatmaps is truth.gt_heatmaps
+        assert calls == list(truth.gt_points)
+
+    def test_subsampling_slices_the_read_only_positions(self):
+        truth = generate_scene(_cfg(num_frames=7))
+        sub = subsample_fps(truth, 3)
+        assert not truth.positions.flags.writeable
+        assert np.shares_memory(sub.positions, truth.positions)
+        np.testing.assert_array_equal(sub.positions, truth.positions[:, ::3])
+        assert sub.num_frames == sub.config.num_frames == 3

@@ -363,6 +363,16 @@ class TestTwoStage:
             want = np.array([[1.0 - _square_iou(x, y, side) for y in b] for x in a])
             assert np.array_equal(got, want)
 
+    def test_kalman_keeps_a_constant_velocity_target_through_misses(self):
+        # the kept state is predicted one frame per frame, so after k
+        # missed frames the head is k + 1 frames ahead of the last detection
+        for missed in ((6,), (6, 7)):
+            frames = [[] if t in missed else [Detection(t, 5.0 + 2.0 * t, 8.0, 0.9)]
+                      for t in range(12)]
+            tracks = run_two_stage(frames, "kalman")
+            assert [tr.id for tr in tracks] == [0], missed
+            assert len(tracks[0].points) == 12 - len(missed)
+
     def test_run_two_stage_tracks_constant_velocity(self):
         frames = [[Detection(t, 5.0 + 1.0 * t, 8.0, 0.9)] for t in range(6)]
         tracks = run_two_stage(frames, "kalman")
