@@ -9,7 +9,7 @@ from .core import (
     OffsetField,
     Trajectory,
 )
-from .warp import ReconstructionConfig, WarpGradients, reconstruct, reconstruct_dense, weight
+from .warp import ReconstructionConfig, reconstruct, reconstruct_dense, weight
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "OffsetField",
     "ReconstructionConfig",
     "Trajectory",
-    "WarpGradients",
     "reconstruct",
     "reconstruct_dense",
     "weight",

@@ -26,6 +26,7 @@ from .fit import FitConfig, FitResult, finite_diff_check, trace_csv
 from .losses import LambdaSchedule, LossWeights, loss_total
 from .metrics import clear_mot, mean_offset_report
 from .pipeline import (
+    FIT_MODES,
     TRACK_MODES,
     fit_report_vs_truth,
     fit_scene_offsets,
@@ -297,6 +298,10 @@ def cmd_track(args) -> int:
         grid = scene_cfg.grid
         fwd = load_fields(Path(args.offsets) / "offsets_fwd.bin", grid)
         bwd = load_fields(Path(args.offsets) / "offsets_bwd.bin", grid)
+        pairs = len(detections) - 1
+        if not len(fwd) == len(bwd) == pairs:
+            raise ConfigError(f"{args.offsets}: {len(fwd)} forward and {len(bwd)} backward "
+                              f"fields for the {pairs} frame pairs at --stride {args.stride}")
         fit_results = [FitResult(f, b, ()) for f, b in zip(fwd, bwd)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -377,9 +382,8 @@ def _sweep_one(cfg: ExperimentConfig, stride: int, seed: int, workers: int):
     truth = generate_scene(scene)
     detections = corrupt_detections(truth)
     sub_dets = subsample_fps(detections, stride)
-    needs_fit = any(m in ("mussp", "bytestyle-offset") for m in cfg.modes)
     fit_results = None
-    if needs_fit:
+    if any(m in FIT_MODES for m in cfg.modes):
         fit_results = fit_scene_offsets(sub_dets, scene.grid,
                                         stride_adapted(cfg.fit, stride),
                                         scene.gaussian_sigma_cells,

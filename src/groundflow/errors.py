@@ -29,9 +29,5 @@ class UndefinedMetric(GroundflowError, ValueError):
     """Metric is undefined for the given input (e.g. no ground truth)."""
 
 
-class NonSpdCovariance(GroundflowError, ValueError):
-    """Kalman covariance is not symmetric positive-definite."""
-
-
 class FormatError(GroundflowError, ValueError):
     """A serialized file does not match the expected container format."""

@@ -131,8 +131,8 @@ def fit_offsets(pairs, cfg: FitConfig, grid: GroundGrid | None = None,
     Raises Divergence if any loss becomes non-finite. The pairs are split
     into at most `workers` contiguous runs, each fitted serially (see
     _fit_run); more than one run goes to a pool of that many processes.
-    The results are bit-identical for any count. The CLI's `fit` and
-    `sweep-fps` take the count from GROUNDFLOW_THREADS.
+    The results are bit-identical for any count. The CLI's `fit`,
+    `sweep-fps` and `ablate` take the count from GROUNDFLOW_THREADS.
     """
     pairs = list(pairs)
     if not pairs:

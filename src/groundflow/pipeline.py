@@ -26,6 +26,8 @@ from .track import (
 
 TRACK_MODES = ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset",
                "nearest", "hungarian")
+# the modes that read fitted offset fields
+FIT_MODES = ("mussp", "bytestyle-offset")
 # farthest match, in cells, of the nearest and hungarian chaining baselines
 CHAIN_MAX_DIST = 10.0
 
@@ -193,8 +195,7 @@ def run_tracking_point(scene_cfg: SceneConfig, stride: int, mode: str,
         detections = corrupt_detections(truth)
     sub_truth = subsample_fps(truth, stride)
     sub_dets = subsample_fps(detections, stride)
-    needs_fit = mode in ("mussp", "bytestyle-offset")
-    if needs_fit and fit_results is None:
+    if mode in FIT_MODES and fit_results is None:
         fit_results = fit_scene_offsets(
             sub_dets, scene_cfg.grid, stride_adapted(fit_cfg, stride),
             scene_cfg.gaussian_sigma_cells, scene_cfg.gaussian_radius_cells,

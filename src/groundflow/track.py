@@ -21,9 +21,9 @@ successive-shortest-paths solver would pick.
 
 The two-stage tracker (`run_two_stage`, after ByteTrack) holds its live
 tracks as rows of parallel arrays, so each frame's motion step, IoU
-matching and Kalman update are a few array operations. The batched
-Kalman steps equal the per-state `kalman_predict`/`kalman_update` bit
-for bit; those stay as the reference.
+matching and Kalman update are a few array operations: the filter
+steps act on the whole (T, 4) mean and (T, 4, 4) covariance stacks,
+always by one frame.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .core import Detection, OffsetField, Trajectory
-from .errors import InstanceTooLarge, NonSpdCovariance
+from .errors import InstanceTooLarge
 from .losses import bilinear_sample
 
 
@@ -329,78 +329,16 @@ def associate_hungarian(dets_t, dets_t1, cost: np.ndarray | None = None,
     return list(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
-@dataclass(frozen=True)
-class KalmanState:
-    """Constant-velocity filter state: (x, y, vx, vy) and covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).reshape(4)
-        cov = np.asarray(self.cov, dtype=np.float64).reshape(4, 4)
-        if not np.allclose(cov, cov.T, atol=1e-8):
-            raise NonSpdCovariance("covariance must be symmetric")
-        eig = np.linalg.eigvalsh(cov)
-        if eig.min() < -1e-9:
-            raise NonSpdCovariance(f"covariance has negative eigenvalue {eig.min():.3e}")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @classmethod
-    def _from_filter(cls, mean: np.ndarray, cov: np.ndarray) -> "KalmanState":
-        """A state computed by kalman_predict/kalman_update from a valid one.
-
-        Skips the symmetry and eigenvalue checks: the filter re-symmetrizes
-        the covariance itself. Only the scalar steps call it; they serve as
-        the reference for the batched steps the two-stage tracker runs.
-        """
-        state = object.__new__(cls)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(state, "mean", mean)
-        object.__setattr__(state, "cov", cov)
-        return state
-
-    @property
-    def pos(self) -> tuple[float, float]:
-        return (float(self.mean[0]), float(self.mean[1]))
-
-
 # constant-velocity filter noise and the covariance of a new track's filter
 PROCESS_NOISE = 0.01
 MEAS_NOISE = 0.25
 INIT_POS_VAR = 1.0
 INIT_VEL_VAR = 10.0
 _INIT_COV = np.diag([INIT_POS_VAR, INIT_POS_VAR, INIT_VEL_VAR, INIT_VEL_VAR])
-
-
-def kalman_predict(s: KalmanState, dt: float,
-                   process_noise: float = PROCESS_NOISE) -> KalmanState:
-    """Constant-velocity predict; process noise scales with dt (dt=0 is a no-op)."""
-    F = np.eye(4)
-    F[0, 2] = dt
-    F[1, 3] = dt
-    mean = F @ s.mean
-    cov = F @ s.cov @ F.T + process_noise * dt * np.eye(4)
-    cov = 0.5 * (cov + cov.T)
-    return KalmanState._from_filter(mean, cov)
-
-
-def kalman_update(s: KalmanState, pos, meas_noise: float = MEAS_NOISE) -> KalmanState:
-    """Linear position-measurement update; covariance re-symmetrized."""
-    H = np.zeros((2, 4))
-    H[0, 0] = 1.0
-    H[1, 1] = 1.0
-    z = np.asarray(pos, dtype=np.float64).reshape(2)
-    S = H @ s.cov @ H.T + meas_noise * np.eye(2)
-    K = np.linalg.solve(S.T, (s.cov @ H.T).T).T
-    mean = s.mean + K @ (z - H @ s.mean)
-    cov = (np.eye(4) - K @ H) @ s.cov
-    cov = 0.5 * (cov + cov.T)
-    return KalmanState._from_filter(mean, cov)
+# one frame of constant-velocity motion, and the position measurement
+_F = np.eye(4)
+_F[0, 2] = _F[1, 3] = 1.0
+_H = np.eye(2, 4)
 
 
 def _swap(m: np.ndarray) -> np.ndarray:
@@ -408,33 +346,23 @@ def _swap(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2)
 
 
-def kalman_predict_batch(means: np.ndarray, covs: np.ndarray, dts: np.ndarray,
-                         process_noise: float = PROCESS_NOISE) -> tuple[np.ndarray, np.ndarray]:
-    """`kalman_predict` of every row of (T, 4) means and (T, 4, 4)
-    covariances, row t by dts[t]. The same matmuls run on the stack, so
-    each row equals the scalar call bit for bit."""
-    dts = np.asarray(dts, dtype=np.float64)
-    F = np.tile(np.eye(4), (len(dts), 1, 1))
-    F[:, 0, 2] = dts
-    F[:, 1, 3] = dts
-    mean = (F @ means[:, :, None])[:, :, 0]
-    cov = F @ covs @ _swap(F) + (process_noise * dts)[:, None, None] * np.eye(4)
+def kalman_predict_batch(means: np.ndarray, covs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predict every row of (T, 4) means (x, y, vx, vy) and (T, 4, 4)
+    covariances one frame on; the covariances are re-symmetrized."""
+    mean = (_F @ means[:, :, None])[:, :, 0]
+    cov = _F @ covs @ _F.T + PROCESS_NOISE * np.eye(4)
     cov = 0.5 * (cov + _swap(cov))
     return mean, cov
 
 
-def kalman_update_batch(means: np.ndarray, covs: np.ndarray, zs: np.ndarray,
-                        meas_noise: float = MEAS_NOISE) -> tuple[np.ndarray, np.ndarray]:
-    """`kalman_update` of every row of (T, 4) means and (T, 4, 4)
-    covariances by the (T, 2) positions zs, bit for bit as the scalar
-    call."""
-    H = np.zeros((2, 4))
-    H[0, 0] = 1.0
-    H[1, 1] = 1.0
-    S = H @ covs @ H.T + meas_noise * np.eye(2)
-    K = _swap(np.linalg.solve(_swap(S), _swap(covs @ H.T)))
-    mean = means + (K @ (zs - (H @ means[:, :, None])[:, :, 0])[:, :, None])[:, :, 0]
-    cov = (np.eye(4) - K @ H) @ covs
+def kalman_update_batch(means: np.ndarray, covs: np.ndarray,
+                        zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Update every row of (T, 4) means and (T, 4, 4) covariances by the
+    (T, 2) measured positions zs; the covariances are re-symmetrized."""
+    S = _H @ covs @ _H.T + MEAS_NOISE * np.eye(2)
+    K = _swap(np.linalg.solve(_swap(S), _swap(covs @ _H.T)))
+    mean = means + (K @ (zs - (_H @ means[:, :, None])[:, :, 0])[:, :, None])[:, :, 0]
+    cov = (np.eye(4) - K @ _H) @ covs
     cov = 0.5 * (cov + _swap(cov))
     return mean, cov
 
@@ -454,17 +382,9 @@ class TwoStageConfig:
             raise ValueError("max_age must be >= 0")
 
 
-def _square_iou(c1, c2, side: float) -> float:
-    ix = max(0.0, side - abs(c1[0] - c2[0]))
-    iy = max(0.0, side - abs(c1[1] - c2[1]))
-    inter = ix * iy
-    union = 2.0 * side * side - inter
-    return inter / union if union > 0 else 0.0
-
-
 def _square_iou_cost(a: np.ndarray, b: np.ndarray, side: float) -> np.ndarray:
     """1 - IoU of side-length squares centred at rows of a (k, 2) and b
-    (m, 2), as a (k, m) matrix; the arithmetic of `_square_iou`."""
+    (m, 2), as a (k, m) matrix; squares of side 0 have IoU 0."""
     ix = np.maximum(0.0, side - np.abs(a[:, None, 0] - b[None, :, 0]))
     iy = np.maximum(0.0, side - np.abs(a[:, None, 1] - b[None, :, 1]))
     inter = ix * iy
@@ -509,7 +429,7 @@ def run_two_stage(frames: list[list[Detection]], motion_source: str,
     for t, dets in enumerate(frames):
         pred = heads
         if kalman:
-            means, covs = kalman_predict_batch(means, covs, np.ones(len(means)))
+            means, covs = kalman_predict_batch(means, covs)
             pred = means[:, :2]
         elif fwd_fields is not None and 1 <= t <= len(fwd_fields):
             fld = fwd_fields[t - 1]

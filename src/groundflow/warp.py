@@ -90,15 +90,6 @@ class ReconstructionConfig:
         return (self.window_cells - 1) // 2
 
 
-@dataclass(frozen=True)
-class WarpGradients:
-    """Gradients of a scalar loss through the reconstruction operator."""
-
-    d_heatmap: np.ndarray
-    d_offset_x: np.ndarray
-    d_offset_y: np.ndarray
-
-
 def weight(l, lambda_r: float):
     """Distance weight W(l) = 1 / (1 + exp(4 * lambda_r * l - 10)), computed
     as every reconstruction path computes it (see _weights_from_l)."""
@@ -342,27 +333,6 @@ def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float
     return g_dx, g_dy
 
 
-def _grad_heatmap_full(values: np.ndarray, dx: np.ndarray, dy: np.ndarray,
-                       upstream: np.ndarray, cfg: ReconstructionConfig,
-                       chunk: int = 2048) -> np.ndarray:
-    """d(loss)/d(x_i) for every cell i: sum_j upstream_j * W(l_ij) over the
-    block the forward pass gives cell i."""
-    h, w = values.shape
-    r = block_radius(cfg.lambda_r, cfg.window_cells)
-    up_flat = _padded_flat(upstream, 2 * r + 1)
-    out = np.empty(h * w)
-    ys_all, xs_all = np.divmod(np.arange(h * w, dtype=np.int64), w)
-    workspace = WarpWorkspace()
-    for s0 in range(0, h * w, chunk):
-        s1 = min(s0 + chunk, h * w)
-        blocks = workspace.claim(s1 - s0, 2 * r + 1)
-        _block_distances(ys_all[s0:s1], xs_all[s0:s1], dx, dy, r, blocks)
-        wb = _weights_from_l(blocks.l, cfg.lambda_r, out=blocks.wb)
-        upb = np.take(up_flat, blocks.idx, out=blocks.b, mode="clip")
-        out[s0:s1] = np.einsum("sab,sab->s", upb, wb)
-    return out.reshape(h, w)
-
-
 def _check_shapes(values, dx, dy, upstream=None):
     if dx.shape != values.shape or dy.shape != values.shape:
         raise DimensionMismatch(
@@ -425,11 +395,14 @@ def reconstruct_dense(X, delta, lambda_r: float) -> np.ndarray:
     return out.reshape(h, w)
 
 
-def reconstruct_backward(X, delta, cfg: ReconstructionConfig, upstream) -> WarpGradients:
-    """Analytic gradients of sum(upstream * reconstruct(X, delta, cfg)).
+def reconstruct_backward(X, delta, cfg: ReconstructionConfig,
+                         upstream) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient (d_offset_x, d_offset_y) of
+    sum(upstream * reconstruct(X, delta, cfg)) with respect to the offsets.
 
-    d_heatmap covers every grid cell; the offset gradient vanishes where
-    x_i is zero because the contribution is linear in x_i.
+    It vanishes where x_i is zero because the contribution is linear in
+    x_i. The heatmaps are fixed inputs of the fit, so no gradient with
+    respect to X is computed.
     """
     values = _values_of(X)
     dx, dy = _offsets_of(delta)
@@ -438,9 +411,7 @@ def reconstruct_backward(X, delta, cfg: ReconstructionConfig, upstream) -> WarpG
     plan = WarpPlan(values, cfg.window_cells)
     cache: dict = {}
     reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, cache)
-    g_dx, g_dy = grad_offsets_with_plan(plan, upstream, cfg.lambda_r, cache)
-    d_heatmap = _grad_heatmap_full(values, dx, dy, upstream, cfg)
-    return WarpGradients(d_heatmap=d_heatmap, d_offset_x=g_dx, d_offset_y=g_dy)
+    return grad_offsets_with_plan(plan, upstream, cfg.lambda_r, cache)
 
 
 def smoothed_target(X_gt, cfg: ReconstructionConfig, plan: WarpPlan | None = None,

@@ -172,6 +172,21 @@ class TestFitTrack:
                 dets, mode, fit_results=fits, edges=cfg.edges, two_stage=cfg.two_stage))
             assert (trk / "tracks.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), mode
 
+    @pytest.mark.parametrize("fit_stride,track_stride", [(1, 2), (2, 1)])
+    def test_offsets_from_another_stride_are_config_error(self, tiny_cfg, tmp_path,
+                                                          fit_stride, track_stride):
+        # 6 frames: 5 pairs at stride 1, 2 at stride 2
+        scene = tmp_path / "scene"
+        fit = tmp_path / "fit"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        assert _run("fit", "--scene", str(scene), "--out", str(fit), "--config", tiny_cfg,
+                    "--stride", str(fit_stride)) == 0
+        out = tmp_path / "trk"
+        rc = _run("track", "--scene", str(scene), "--offsets", str(fit), "--mode", "mussp",
+                  "--out", str(out), "--config", tiny_cfg, "--stride", str(track_stride))
+        assert rc == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["two", "0"])
     def test_bad_thread_count_is_config_error(self, tiny_cfg, tmp_path, monkeypatch, threads):
         scene = tmp_path / "scene"

@@ -10,6 +10,19 @@ class TestSplitKmeans2:
         # centroids start at (0.05, 0.9); one assignment step converges
         assert split_kmeans2([0.9, 0.85, 0.1, 0.05]) == pytest.approx(0.475)
 
+    def test_lloyd_stops_at_a_local_optimum(self):
+        # from (0, 1) one step reaches the centroids (0.25, 0.8) and stays
+        # there, though {0} against {0.5, 0.6, 1} has less squared error
+        vals = np.array([0.0, 0.5, 0.6, 1.0])
+        t = split_kmeans2(vals)
+        assert t == pytest.approx(0.525)
+
+        def squared_error(high):
+            return sum(float(((v - v.mean()) ** 2).sum()) for v in (vals[~high], vals[high]))
+
+        assert squared_error(vals > t) == pytest.approx(0.205)
+        assert squared_error(vals > 0.35) == pytest.approx(0.14)
+
     def test_symmetric_blocks(self):
         vals = [1.0] * 10 + [0.0] * 10
         assert split_kmeans2(vals) == pytest.approx(0.5)

