@@ -59,6 +59,8 @@ class ExperimentConfig:
         for m in self.modes:
             if m not in TRACK_MODES:
                 raise ConfigError(f"unknown mode {m!r} in sweep.modes")
+        if not (0 < self.dist_threshold < np.inf):
+            raise ConfigError("track.dist_threshold must be positive and finite")
 
 
 def _get(kv: dict, key: str, cast, default, used: set | None = None):

@@ -22,6 +22,19 @@ next uses each once and drops it. The targets are what the next pair
 would compute itself, so only the work passes from pair to pair, and
 each pair's result is bit-identical to its fit alone.
 
+`FitConfig.epochs` is a ceiling. After each epoch's step a pair reads its
+fields where the trackers read them: fdx/fdy bilinearly at its x_t
+points and bdx/bdy at its x_t1 points. It stops once the read-out has
+settled: no value moved by more than SETTLED_STEP_FRACTION of the
+current step size, net, over the last SETTLE_EPOCHS epochs. A pair is
+never stopped while the window still caps the block radius (so its last
+epoch's forward pass is exact), nor before its last step-size halving.
+The rule reads nothing but the pair's own fit, so a pair's result does
+not depend on the worker count or on the pairs fitted before it; its
+trace has one row per epoch run. A pair that inherits targets for fewer
+lambda_r than it visits, from a pair that stopped sooner, smooths the
+rest itself.
+
 The fitted fields are clamped per-component to the window radius, which
 bounds the motion one pair can express. The clamp does not make the
 windowed forward pass exact: the warp operator's lambda_r-sized blocks
@@ -42,15 +55,30 @@ from .errors import Divergence
 from .losses import (
     LambdaSchedule,
     LossWeights,
+    bilinear_sampler,
     loss_total,
     se_neighborhoods,
 )
-from .warp import ReconstructionConfig, WarpPlan, WarpWorkspace, block_radius, smoothed_target
+from .warp import (
+    ReconstructionConfig,
+    WarpPlan,
+    WarpWorkspace,
+    _uncapped_radius,
+    block_radius,
+    smoothed_target,
+)
+
+# The stop rule's bound follows the step size: an adaptive-moments step
+# moves each value by up to about the learning rate, so a fixed bound in
+# cells would stop a fit with a small rate at once. The net move over
+# several epochs catches a slow drift that each epoch's move hides.
+SETTLE_EPOCHS = 5
+SETTLED_STEP_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    epochs: int
+    epochs: int  # the ceiling; a pair stops sooner once its read-out settles
     learning_rate: float = 0.05
     schedule: LambdaSchedule = dc_field(default_factory=LambdaSchedule)
     weights: LossWeights = dc_field(default_factory=LossWeights)
@@ -70,6 +98,8 @@ class FitConfig:
             raise ValueError("learning_rate must be positive")
         if self.window_cells < 3 or self.window_cells % 2 == 0:
             raise ValueError("window_cells must be odd and >= 3")
+        if not (self.se_radius >= 0):
+            raise ValueError("se_radius must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -86,7 +116,7 @@ class FitPair:
 class FitResult:
     fwd: OffsetField
     bwd: OffsetField
-    trace: tuple  # of dict rows: epoch, lambda_r, l_mot, l_fb, l_se, total
+    trace: tuple  # of dict rows, one per epoch run: epoch, lambda_r, l_mot, l_fb, l_se, total
 
 
 class _AdaptiveMoments:
@@ -193,9 +223,10 @@ def _fit_run(pairs: list, cfg: FitConfig, grid: GroundGrid | None,
 def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
                      pair_index: int, inherited: _FrameTargets | None = None,
                      keep: bool = False) -> tuple[FitResult, _FrameTargets | None]:
-    """Fit one pair. `inherited` carries x_t's plan and targets; each target
-    is dropped once used. With `keep`, x_t1's plan and targets are returned
-    for the next pair, else None."""
+    """Fit one pair until its read-out settles (see the module docstring)
+    or for cfg.epochs epochs. `inherited` carries x_t's plan and targets;
+    each target is dropped once used. With `keep`, x_t1's plan and targets
+    are returned for the next pair, else None."""
     x_t = np.asarray(pair.x_t, dtype=np.float64)
     x_t1 = np.asarray(pair.x_t1, dtype=np.float64)
     h, w = x_t.shape
@@ -216,7 +247,12 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
     params = np.zeros((4, h, w))
     fdx, fdy, bdx, bdy = params  # views: the steps below update them in place
     opt = _AdaptiveMoments(cfg.learning_rate, params.shape)
-    clamp = (cfg.window_cells - 1) / 2.0
+    radius = (cfg.window_cells - 1) // 2
+    clamp = float(radius)
+    last_halving = max(cfg.lr_halving_epochs, default=-1)
+    read_t = bilinear_sampler((h, w), *np.reshape(pair.points_t, (-1, 2)).T.astype(np.float64))
+    read_t1 = bilinear_sampler((h, w), *np.reshape(pair.points_t1, (-1, 2)).T.astype(np.float64))
+    readouts = deque(maxlen=SETTLE_EPOCHS + 1)
     trace = []
     targets, targets_lambda = None, None
     for epoch, lambda_r in enumerate(cfg.schedule.values(cfg.epochs)):
@@ -248,6 +284,12 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
         np.clip(params, -clamp, clamp, out=params)
         trace.append({"epoch": epoch, "lambda_r": lambda_r, "l_mot": out.l_mot,
                       "l_fb": out.l_fb, "l_se": out.l_se, "total": out.total})
+        readouts.append(np.concatenate([read_t(params[:2]), read_t1(params[2:])], axis=1))
+        if (_uncapped_radius(lambda_r) <= radius and epoch >= last_halving
+                and len(readouts) == readouts.maxlen
+                and np.abs(readouts[-1] - readouts[0]).max(initial=0.0)
+                <= SETTLED_STEP_FRACTION * opt.lr):
+            break
     return FitResult(
         fwd=OffsetField(grid, fdx, fdy),
         bwd=OffsetField(grid, bdx, bdy),

@@ -115,12 +115,24 @@ def _bilinear_corners(shape, px: np.ndarray, py: np.ndarray):
 
 
 def bilinear_sample(arr: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of `arr` at continuous points, border-clamped."""
-    x0, x1, y0, y1, fx, fy, _, _ = _bilinear_corners(arr.shape, px, py)
-    v00, v10, v01, v11 = arr[y0, x0], arr[y0, x1], arr[y1, x0], arr[y1, x1]
-    top = v00 + fx * (v10 - v00)
-    bot = v01 + fx * (v11 - v01)
-    return top + fy * (bot - top)
+    """Bilinear interpolation of `arr` at continuous points, border-clamped.
+    The last two axes of `arr` are the grid's (y, x); a stack of fields
+    is sampled at the points along its leading axes."""
+    return bilinear_sampler(arr.shape[-2:], px, py)(arr)
+
+
+def bilinear_sampler(shape, px: np.ndarray, py: np.ndarray):
+    """bilinear_sample at fixed points of a grid of `shape`, as a function
+    of the field (or stack of fields); the corners are found once."""
+    x0, x1, y0, y1, fx, fy, _, _ = _bilinear_corners(shape, px, py)
+
+    def sample(arr: np.ndarray) -> np.ndarray:
+        v00, v10, v01, v11 = arr[..., y0, x0], arr[..., y0, x1], arr[..., y1, x0], arr[..., y1, x1]
+        top = v00 + fx * (v10 - v00)
+        bot = v01 + fx * (v11 - v01)
+        return top + fy * (bot - top)
+
+    return sample
 
 
 @lru_cache(maxsize=8)
@@ -227,7 +239,7 @@ def loss_se_grad_hoods(dx: np.ndarray, dy: np.ndarray, hoods: np.ndarray):
     """
     h, w = dx.shape
     n_points = hoods.shape[0]
-    if n_points == 0:
+    if hoods.size == 0:   # no points, or every neighborhood empty
         return 0.0, np.zeros((h, w)), np.zeros((h, w))
     cells = hoods < h * w
     n = np.maximum(cells.sum(axis=1), 1)  # an empty row is never live; 1 keeps it finite

@@ -61,7 +61,7 @@ class TestConfig:
         "edges.max_gap = 0", "fit.epochs = 0", "fit.lambda_fb = -1", "scene.width = 0",
         "fit.schedule_cap = 0.1", "fit.window = 4", "fit.window = 1", "track.box_side = -3",
         "track.iou_threshold = 1.5", "track.max_age = -1", "fit.schedule_init = 0",
-        "fit.schedule_increment = -0.1",
+        "fit.schedule_increment = -0.1", "fit.se_radius = -1",
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, line):
         p = tmp_path / "bad.cfg"
@@ -204,6 +204,27 @@ class TestFitTrack:
         assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
         out = tmp_path / "o"
         rc = _run(*command, "--scene", str(scene), "--out", str(out), "--stride", stride)
+        assert rc == 2
+        assert not out.exists()
+
+    def test_zero_se_radius_fits(self, tiny_cfg, tmp_path):
+        # every spatial-extent neighbourhood is empty: the term is zero
+        cfg = tmp_path / "se0.cfg"
+        cfg.write_text(TINY + "fit.se_radius = 0\n")
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", str(cfg), "--out", str(scene)) == 0
+        assert _run("fit", "--scene", str(scene), "--out", str(tmp_path / "f"),
+                    "--config", str(cfg)) == 0
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_dist_threshold_is_config_error(self, tiny_cfg, tmp_path, value):
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"track.dist_threshold = {value}\n")
+        out = tmp_path / "trk"
+        rc = _run("track", "--scene", str(scene), "--mode", "nearest", "--out", str(out),
+                  "--config", str(cfg))
         assert rc == 2
         assert not out.exists()
 

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import groundflow.fit
+from groundflow import pipeline
 from groundflow.core import GroundGrid
+from groundflow.cli import load_experiment_config
 from groundflow.fit import FitConfig, FitPair, finite_diff_check, fit_offsets
 from groundflow.losses import LambdaSchedule, LossWeights, loss_fb_grad, loss_total
-from groundflow.sim import SceneConfig, generate_scene, render_heatmap
-from groundflow.warp import ReconstructionConfig
+from groundflow.sim import SceneConfig, corrupt_detections, generate_scene, render_heatmap
+from groundflow.warp import ReconstructionConfig, _uncapped_radius
 
 
 def _pairs_from_truth(truth, count=None):
@@ -119,6 +122,9 @@ class TestFitConfig:
             FitConfig(epochs=0)
         with pytest.raises(ValueError):
             FitConfig(epochs=1, learning_rate=0.0)
+        for radius in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                FitConfig(epochs=1, se_radius=radius)
 
 
 class TestFitOffsets:
@@ -265,6 +271,103 @@ class TestTargetSharing:
         assert len(smooth_calls) == (3 + 1) * 3 + (2 + 1) * 3
         for r2, r1 in zip(results, fit_offsets(pairs, self.CFG, grid)):
             _assert_same_bits(r2, r1)
+
+
+class TestStopRule:
+    """A pair stops once its read-out settles, never while the window caps
+    the block radius or before its last step-size halving."""
+
+    # seed 1 at this config: the pairs stop at 40 (the ceiling), 25, 38
+    # and 33 epochs, so a pair inherits both more and fewer targets than
+    # it uses
+    CFG = FitConfig(epochs=40, learning_rate=0.25, window_cells=15)
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cfg_s = SceneConfig(grid=GroundGrid(24, 24), num_agents=3, num_frames=5,
+                            speed_cells=(1.0, 1.5), turn_sigma_rad=0.1, seed=1)
+        return _pairs_from_truth(generate_scene(cfg_s)), cfg_s.grid
+
+    @staticmethod
+    def _empty_pair():
+        z = np.zeros((12, 12))
+        return FitPair(z, z.copy(), (), ())
+
+    def test_empty_pair_stops_first_when_the_window_stops_capping(self):
+        # an empty pair's read-out is settled from the start, so the window
+        # alone holds it: it stops at the first uncapped lambda_r that has
+        # five epochs before it
+        cfg = FitConfig(epochs=60, window_cells=9,
+                        schedule=LambdaSchedule(init=0.5, increment=0.1, cap=5.0))
+        trace = fit_offsets([self._empty_pair()], cfg)[0].trace
+        radius = (cfg.window_cells - 1) // 2
+        assert len(trace) > 6
+        assert _uncapped_radius(trace[-1]["lambda_r"]) <= radius
+        assert _uncapped_radius(trace[-2]["lambda_r"]) > radius
+
+    @pytest.mark.parametrize("halvings,expected", [((), 6), ((3, 17), 18)])
+    def test_empty_pair_stops_after_the_last_halving(self, halvings, expected):
+        cfg = FitConfig(epochs=60, window_cells=9, lr_halving_epochs=halvings,
+                        schedule=LambdaSchedule(init=5.0, increment=0.0, cap=5.0))
+        assert len(fit_offsets([self._empty_pair()], cfg)[0].trace) == expected
+
+    def test_no_pair_stops_while_the_window_caps_the_radius(self, scene):
+        # these pairs' read-outs settle by epoch 33, while the window of
+        # radius 4 caps the block radius up to epoch 41
+        pairs, grid = scene
+        cfg = replace(self.CFG, epochs=80, window_cells=9,
+                      schedule=LambdaSchedule(init=0.8, increment=0.04, cap=5.0))
+        for r in fit_offsets(pairs, cfg, grid):
+            assert _uncapped_radius(r.trace[-1]["lambda_r"]) <= 4
+
+    def test_no_pair_stops_before_the_last_halving(self, scene):
+        # without the halving, pair 1 stops after 25 epochs
+        pairs, grid = scene
+        cfg = replace(self.CFG, epochs=80, lr_halving_epochs=(28,))
+        for r in fit_offsets(pairs, cfg, grid):
+            assert r.trace[-1]["epoch"] >= 28
+
+    def test_trace_has_one_row_per_epoch_run(self, scene, monkeypatch):
+        pairs, grid = scene
+        calls = []
+        real = groundflow.fit.loss_total
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groundflow.fit, "loss_total", counting)
+        results = fit_offsets(pairs, self.CFG, grid)
+        lengths = [len(r.trace) for r in results]
+        assert sum(lengths) == len(calls)
+        assert max(lengths) <= self.CFG.epochs
+        for r in results:
+            assert [row["epoch"] for row in r.trace] == list(range(len(r.trace)))
+
+    def test_pairs_stopping_apart_are_worker_and_order_invariant(self, scene, smooth_calls):
+        pairs, grid = scene
+        a = fit_offsets(pairs, self.CFG, grid)
+        lengths = [len(r.trace) for r in a]
+        assert len(set(lengths)) == len(lengths) and min(lengths) < self.CFG.epochs
+        # every epoch has its own lambda_r below the cap: the first pair
+        # smooths both frames each epoch; a later one uses the targets
+        # handed on and smooths the rest of its x_t targets itself
+        assert len(smooth_calls) == sum(lengths) + lengths[0] + sum(
+            max(0, n - m) for m, n in zip(lengths, lengths[1:]))
+        for rb, ra in zip(fit_offsets(pairs, self.CFG, grid, workers=2), a):
+            _assert_same_bits(rb, ra)
+        for rr, ra in zip(fit_offsets(pairs[::-1], self.CFG, grid), a[::-1]):
+            _assert_same_bits(rr, ra)
+        for pair, ra in zip(pairs, a):
+            _assert_same_bits(fit_offsets([pair], self.CFG, grid)[0], ra)
+
+    def test_default_config_stops_some_pair_before_the_ceiling(self):
+        d = load_experiment_config(None)
+        scene = replace(d.scene, grid=GroundGrid(32, 32), num_agents=3, num_frames=5)
+        results = pipeline.fit_scene_offsets(
+            corrupt_detections(generate_scene(scene)), scene.grid, d.fit,
+            scene.gaussian_sigma_cells, scene.gaussian_radius_cells)
+        assert min(len(r.trace) for r in results) < d.fit.epochs
 
 
 class TestOptimizer:

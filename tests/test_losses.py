@@ -4,10 +4,12 @@ import pytest
 from groundflow.losses import (
     LambdaSchedule,
     LossWeights,
+    bilinear_sample,
     loss_fb,
     loss_fb_grad,
     loss_mot,
     loss_se,
+    loss_se_grad_hoods,
     loss_total,
     se_neighborhoods,
 )
@@ -112,10 +114,32 @@ class TestLossSe:
         shape = (5, 5)
         assert loss_se((np.ones(shape), np.ones(shape)), [], 2.0) == 0.0
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_all_neighborhoods_empty_gives_float_zeros(self, radius):
+        # no cell lies within the radius of an off-lattice point
+        shape = (6, 6)
+        hoods = se_neighborhoods(shape, [(2.5, 3.5), (1.2, 4.7)], radius)
+        val, g_dx, g_dy = loss_se_grad_hoods(np.ones(shape), np.ones(shape), hoods)
+        assert val == 0.0
+        for g in (g_dx, g_dy):
+            assert g.dtype == np.float64 and g.shape == shape and not g.any()
+
     def test_neighborhood_radius(self):
         hoods = se_neighborhoods((5, 5), [(2.0, 2.0)], 1.0)
         cells = hoods[0][hoods[0] < 5 * 5]  # strip the padding
         assert sorted(cells) == sorted([2 * 5 + 2, 1 * 5 + 2, 3 * 5 + 2, 2 * 5 + 1, 2 * 5 + 3])
+
+
+class TestBilinearSample:
+    def test_a_stack_samples_each_field_alike(self):
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(3, 7, 9))
+        px = rng.uniform(-2.0, 10.0, 11)
+        py = rng.uniform(-2.0, 8.0, 11)
+        got = bilinear_sample(stack, px, py)
+        assert got.shape == (3, 11)
+        for row, field in zip(got, stack):
+            assert row.tobytes() == bilinear_sample(field, px, py).tobytes()
 
 
 class TestSchedule:
