@@ -52,8 +52,10 @@ class ExperimentConfig:
     dist_threshold: float
 
     def __post_init__(self):
-        if not self.fps_strides:
-            raise ConfigError("sweep.strides must not be empty")
+        for key, values in (("sweep.strides", self.fps_strides), ("sweep.modes", self.modes),
+                            ("sweep.seeds", self.seeds)):
+            if not values or len(set(values)) < len(values):
+                raise ConfigError(f"{key} must be a non-empty list without repeats")
         if list(self.fps_strides) != sorted(self.fps_strides):
             raise ConfigError("sweep.strides must be sorted ascending")
         for m in self.modes:
@@ -73,6 +75,13 @@ def _get(kv: dict, key: str, cast, default, used: set | None = None):
         return cast(raw)
     except ValueError as e:
         raise ConfigError(f"config key {key}: cannot parse {raw!r}") from e
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -102,58 +111,58 @@ def _load_experiment_config(path: str | None, seed_override: int | None) -> Expe
     grid = GroundGrid(
         _g("scene.width", int, 64),
         _g("scene.height", int, 64),
-        _g("scene.cell_size", float, 0.20),
+        _g("scene.cell_size", _finite_float, 0.20),
     )
     scene = SceneConfig(
         grid=grid,
         num_agents=_g("scene.num_agents", int, 8),
         num_frames=_g("scene.num_frames", int, 30),
-        speed_cells=(_g("scene.speed_min", float, 0.8),
-                     _g("scene.speed_max", float, 1.8)),
-        turn_sigma_rad=_g("scene.turn_sigma", float, 0.25),
-        miss_rate=_g("scene.miss_rate", float, 0.03),
-        fp_rate_per_frame=_g("scene.fp_rate", float, 0.3),
-        jitter_sigma_cells=_g("scene.jitter_sigma", float, 0.15),
-        gaussian_sigma_cells=_g("scene.gaussian_sigma", float, 1.0),
-        gaussian_radius_cells=_g("scene.gaussian_radius", float, 3.0),
+        speed_cells=(_g("scene.speed_min", _finite_float, 0.8),
+                     _g("scene.speed_max", _finite_float, 1.8)),
+        turn_sigma_rad=_g("scene.turn_sigma", _finite_float, 0.25),
+        miss_rate=_g("scene.miss_rate", _finite_float, 0.03),
+        fp_rate_per_frame=_g("scene.fp_rate", _finite_float, 0.3),
+        jitter_sigma_cells=_g("scene.jitter_sigma", _finite_float, 0.15),
+        gaussian_sigma_cells=_g("scene.gaussian_sigma", _finite_float, 1.0),
+        gaussian_radius_cells=_g("scene.gaussian_radius", _finite_float, 3.0),
         seed=seed_override if seed_override is not None else seed,
     )
     schedule = LambdaSchedule(
-        init=_g("fit.schedule_init", float, 0.8),
-        increment=_g("fit.schedule_increment", float, 0.08),
-        cap=_g("fit.schedule_cap", float, 5.0),
+        init=_g("fit.schedule_init", _finite_float, 0.8),
+        increment=_g("fit.schedule_increment", _finite_float, 0.08),
+        cap=_g("fit.schedule_cap", _finite_float, 5.0),
     )
     weights = LossWeights(
-        lambda_fb=_g("fit.lambda_fb", float, 0.05),
-        lambda_se=_g("fit.lambda_se", float, 1.0),
+        lambda_fb=_g("fit.lambda_fb", _finite_float, 0.05),
+        lambda_se=_g("fit.lambda_se", _finite_float, 1.0),
     )
     fit_cfg = FitConfig(
         epochs=_g("fit.epochs", int, 80),
-        learning_rate=_g("fit.learning_rate", float, 0.25),
+        learning_rate=_g("fit.learning_rate", _finite_float, 0.25),
         schedule=schedule,
         weights=weights,
         window_cells=_g("fit.window", int, 21),
-        se_radius=_g("fit.se_radius", float, scene.gaussian_radius_cells),
+        se_radius=_g("fit.se_radius", _finite_float, scene.gaussian_radius_cells),
     )
     edges = EdgeCostParams(
-        sigma_t=_g("edges.sigma_t", float, 0.5),
-        sigma_d=_g("edges.sigma_d", float, 0.15),
-        sigma_m=_g("edges.sigma_m", float, 0.15),
+        sigma_t=_g("edges.sigma_t", _finite_float, 0.5),
+        sigma_d=_g("edges.sigma_d", _finite_float, 0.15),
+        sigma_m=_g("edges.sigma_m", _finite_float, 0.15),
         max_gap=_g("edges.max_gap", int, 3),
-        entry_cost=_g("edges.entry_cost", float, 0.2),
-        exit_cost=_g("edges.exit_cost", float, 0.2),
-        obs_cost_scale=_g("edges.obs_cost_scale", float, 1.0),
+        entry_cost=_g("edges.entry_cost", _finite_float, 0.2),
+        exit_cost=_g("edges.exit_cost", _finite_float, 0.2),
+        obs_cost_scale=_g("edges.obs_cost_scale", _finite_float, 1.0),
     )
     two_stage = TwoStageConfig(
-        box_side=_g("track.box_side", float, 5.0),
-        iou_threshold=_g("track.iou_threshold", float, 0.1),
+        box_side=_g("track.box_side", _finite_float, 5.0),
+        iou_threshold=_g("track.iou_threshold", _finite_float, 0.1),
         max_age=_g("track.max_age", int, 3),
     )
     fps_strides = _g("sweep.strides", _int_list, (1, 3, 5))
     modes = _g("sweep.modes", _str_list,
                ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset"))
     seeds = _g("sweep.seeds", _int_list, (0,))
-    dist_threshold = _g("track.dist_threshold", float, 2.5)
+    dist_threshold = _g("track.dist_threshold", _finite_float, 2.5)
     unknown = set(kv) - used
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -460,6 +469,8 @@ def offsets_off_grid_lines(rng: np.random.Generator, shape, sigma: float,
 
 
 def cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, not {args.instances}")
     rng = np.random.default_rng(args.seed)
     weights = LossWeights()
     worst = 0.0

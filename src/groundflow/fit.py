@@ -9,18 +9,16 @@ has to discover the motion.
 The pairs' fits are independent of one another, and the lambda_r
 schedule advances once per epoch. A pair's four offset components (fdx,
 fdy, bdx, bdy) are the rows of one (4, h, w) array, which the optimizer
-steps and the clamp bounds as a whole. Each pair fit owns one
-WarpWorkspace, sized once for its larger heatmap at the first epoch's
-block radius; both warp directions and the smoothed targets reuse its
-buffers every epoch, and it is dropped when the pair is done.
+steps and the clamp bounds as a whole.
 
-The pairs are fitted in contiguous runs, one run per worker. Within a
-run, consecutive pairs that share a frame (x_t1 of one is x_t of the
-next) share that frame's plan and smoothed targets: the first pair
-smooths the frame once per lambda_r and hands the targets on, and the
-next uses each once and drops it. The targets are what the next pair
-would compute itself, so only the work passes from pair to pair, and
-each pair's result is bit-identical to its fit alone.
+The pairs are fitted in contiguous runs, one run per worker. A run
+builds one _Frame per heatmap, which the pairs on either side of it
+share when their heatmaps and points there agree. The pair that warps
+toward a frame smooths it once per lambda_r and keeps the targets; the
+next pair, which warps from it, takes them back. Only work passes from
+pair to pair, so each pair's result is bit-identical to its fit alone.
+A run owns one WarpWorkspace, sized once for its largest frame at the
+first epoch's block radius.
 
 `FitConfig.epochs` is a ceiling. After each epoch's step a pair reads its
 fields where the trackers read them: fdx/fdy bilinearly at its x_t
@@ -31,9 +29,7 @@ never stopped while the window still caps the block radius (so its last
 epoch's forward pass is exact), nor before its last step-size halving.
 The rule reads nothing but the pair's own fit, so a pair's result does
 not depend on the worker count or on the pairs fitted before it; its
-trace has one row per epoch run. A pair that inherits targets for fewer
-lambda_r than it visits, from a pair that stopped sooner, smooths the
-rest itself.
+trace has one row per epoch run.
 
 The fitted fields are clamped per-component to the window radius, which
 bounds the motion one pair can express. The clamp does not make the
@@ -46,7 +42,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -178,9 +173,11 @@ def fit_offsets(pairs, cfg: FitConfig, grid: GroundGrid | None = None,
         return [r for f in futures for r in f.result()]
 
 
-class _FrameTargets(NamedTuple):
-    """A frame's plan and its smoothed targets, one per distinct lambda_r of
-    the schedule in schedule order, handed from one pair to the next.
+class _Frame:
+    """One heatmap of a run and its points, with what the pairs on either
+    side of it need: its plan, se_neighborhoods matrix and read-out
+    sampler, and the smoothed targets kept for the pair that warps from
+    it, one per distinct lambda_r in schedule order.
 
     Each target is held packed: the bits of its nonzero cells and their
     values. A target is zero (+0.0) beyond its sources' blocks, on about
@@ -188,70 +185,67 @@ class _FrameTargets(NamedTuple):
     about a third of the memory, and it unpacks to the same bits.
     """
 
-    plan: WarpPlan
-    targets: deque
+    def __init__(self, x, points, cfg: FitConfig):
+        self.x = np.asarray(x, dtype=np.float64)
+        self.points = points
+        self.plan = WarpPlan(self.x, cfg.window_cells)
+        self.hoods = se_neighborhoods(self.x.shape, points, cfg.se_radius)
+        self.read = bilinear_sampler(self.x.shape,
+                                     *np.reshape(points, (-1, 2)).T.astype(np.float64))
+        self.targets = deque()
 
-    def push(self, target: np.ndarray):
+    def smooth(self, rcfg: ReconstructionConfig, workspace: WarpWorkspace) -> np.ndarray:
+        """The frame's smoothed target at rcfg, which it also keeps."""
+        target = smoothed_target(self.x, rcfg, plan=self.plan, workspace=workspace)
         nonzero = target != 0.0
         self.targets.append((np.packbits(nonzero), target[nonzero]))
+        return target
 
-    def pop(self) -> np.ndarray:
+    def take(self, rcfg: ReconstructionConfig, workspace: WarpWorkspace) -> np.ndarray:
+        """The next target kept, or the frame's smoothed target at rcfg once
+        none is left (the pair before stopped sooner)."""
+        if not self.targets:
+            return smoothed_target(self.x, rcfg, plan=self.plan, workspace=workspace)
         bits, values = self.targets.popleft()
-        out = np.zeros(self.plan.h * self.plan.w)
+        out = np.zeros(self.x.size)
         out[np.unpackbits(bits, count=out.size).view(bool)] = values
-        return out.reshape(self.plan.h, self.plan.w)
+        return out.reshape(self.x.shape)
 
 
 def _fit_run(pairs: list, cfg: FitConfig, grid: GroundGrid | None,
              first_index: int) -> list[FitResult]:
-    """Fit consecutive pairs one after another.
-
-    A pair whose x_t equals the previous pair's x_t1 takes that frame's
-    plan and smoothed targets instead of computing them again. Every
-    pair runs the same lambda_r schedule, so the targets come in the
-    order the next pair needs them.
-    """
-    results = []
-    handed = None
-    for i, pair in enumerate(pairs):
-        keep = i + 1 < len(pairs) and np.array_equal(pairs[i + 1].x_t, pair.x_t1)
-        result, handed = _fit_single_pair(pair, cfg, grid, first_index + i, handed, keep)
-        results.append(result)
-    return results
-
-
-def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
-                     pair_index: int, inherited: _FrameTargets | None = None,
-                     keep: bool = False) -> tuple[FitResult, _FrameTargets | None]:
-    """Fit one pair until its read-out settles (see the module docstring)
-    or for cfg.epochs epochs. `inherited` carries x_t's plan and targets;
-    each target is dropped once used. With `keep`, x_t1's plan and targets
-    are returned for the next pair, else None."""
-    x_t = np.asarray(pair.x_t, dtype=np.float64)
-    x_t1 = np.asarray(pair.x_t1, dtype=np.float64)
-    h, w = x_t.shape
-    if grid is None:
-        grid = GroundGrid(w, h)
-    if inherited is None:
-        inherited = _FrameTargets(WarpPlan(x_t, cfg.window_cells), deque())
-    plan_t = inherited.plan
-    plan_t1 = WarpPlan(x_t1, cfg.window_cells)
-    kept = _FrameTargets(plan_t1, deque()) if keep else None
+    """Fit consecutive pairs one after another, over one _Frame per
+    heatmap and one WarpWorkspace (see the module docstring). Every pair
+    runs the same lambda_r schedule, so a frame's targets come in the
+    order the pair warping from it needs them."""
+    ends = deque()
+    for pair in pairs:
+        frame_t = ends[-1][1] if ends else None
+        if not (frame_t and np.array_equal(pair.x_t, frame_t.x)
+                and np.array_equal(pair.points_t, frame_t.points)):
+            frame_t = _Frame(pair.x_t, pair.points_t, cfg)
+        ends.append((frame_t, _Frame(pair.x_t1, pair.points_t1, cfg)))
     # lambda_r only rises, so the first epoch's block radius is the largest
     k = 2 * block_radius(cfg.schedule.init, cfg.window_cells) + 1
-    workspace = WarpWorkspace(max(plan_t.num_sources, plan_t1.num_sources) * k * k)
-    hoods = (
-        se_neighborhoods(x_t.shape, pair.points_t, cfg.se_radius),
-        se_neighborhoods(x_t.shape, pair.points_t1, cfg.se_radius),
-    )
+    workspace = WarpWorkspace(max(f.plan.num_sources for end in ends for f in end) * k * k)
+    # a pair's frames leave the run with it, and their leftover targets too
+    return [_fit_pair(*ends.popleft(), workspace, cfg, grid, first_index + i)
+            for i in range(len(pairs))]
+
+
+def _fit_pair(frame_t: _Frame, frame_t1: _Frame, workspace: WarpWorkspace, cfg: FitConfig,
+              grid: GroundGrid | None, pair_index: int) -> FitResult:
+    """Fit the pair of two frames until its read-out settles (see the
+    module docstring) or for cfg.epochs epochs."""
+    h, w = frame_t.x.shape
+    if grid is None:
+        grid = GroundGrid(w, h)
     params = np.zeros((4, h, w))
     fdx, fdy, bdx, bdy = params  # views: the steps below update them in place
     opt = _AdaptiveMoments(cfg.learning_rate, params.shape)
     radius = (cfg.window_cells - 1) // 2
     clamp = float(radius)
     last_halving = max(cfg.lr_halving_epochs, default=-1)
-    read_t = bilinear_sampler((h, w), *np.reshape(pair.points_t, (-1, 2)).T.astype(np.float64))
-    read_t1 = bilinear_sampler((h, w), *np.reshape(pair.points_t1, (-1, 2)).T.astype(np.float64))
     readouts = deque(maxlen=SETTLE_EPOCHS + 1)
     trace = []
     targets, targets_lambda = None, None
@@ -262,19 +256,12 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
         # the smoothed targets depend on lambda_r only, so once the
         # schedule sits at its cap they are reused as they are
         if rcfg.lambda_r != targets_lambda:
-            target_t1 = smoothed_target(x_t1, rcfg, plan=plan_t1, workspace=workspace)
-            if inherited.targets:
-                target_t = inherited.pop()
-            else:
-                target_t = smoothed_target(x_t, rcfg, plan=plan_t, workspace=workspace)
-            if kept is not None:
-                kept.push(target_t1)
-            targets = (target_t1, target_t)
+            targets = (frame_t1.smooth(rcfg, workspace), frame_t.take(rcfg, workspace))
             targets_lambda = rcfg.lambda_r
         out = loss_total(
-            x_t, x_t1, (fdx, fdy), (bdx, bdy), pair.points_t, pair.points_t1,
-            rcfg, cfg.weights, cfg.se_radius,
-            plans=(plan_t, plan_t1), hoods=hoods, targets=targets, workspace=workspace,
+            frame_t.x, frame_t1.x, (fdx, fdy), (bdx, bdy), frame_t.points, frame_t1.points,
+            rcfg, cfg.weights, cfg.se_radius, plans=(frame_t.plan, frame_t1.plan),
+            hoods=(frame_t.hoods, frame_t1.hoods), targets=targets, workspace=workspace,
         )
         if not np.isfinite(out.total):
             raise Divergence(
@@ -284,7 +271,8 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
         np.clip(params, -clamp, clamp, out=params)
         trace.append({"epoch": epoch, "lambda_r": lambda_r, "l_mot": out.l_mot,
                       "l_fb": out.l_fb, "l_se": out.l_se, "total": out.total})
-        readouts.append(np.concatenate([read_t(params[:2]), read_t1(params[2:])], axis=1))
+        readouts.append(np.concatenate([frame_t.read(params[:2]), frame_t1.read(params[2:])],
+                                       axis=1))
         if (_uncapped_radius(lambda_r) <= radius and epoch >= last_halving
                 and len(readouts) == readouts.maxlen
                 and np.abs(readouts[-1] - readouts[0]).max(initial=0.0)
@@ -294,7 +282,7 @@ def _fit_single_pair(pair: FitPair, cfg: FitConfig, grid: GroundGrid | None,
         fwd=OffsetField(grid, fdx, fdy),
         bwd=OffsetField(grid, bdx, bdy),
         trace=tuple(trace),
-    ), kept
+    )
 
 
 def trace_csv(trace) -> str:

@@ -75,6 +75,18 @@ class TestConfig:
         rc = _run("sweep-fps", "--config", str(p), "--out", str(tmp_path / "o"))
         assert rc == 2
 
+    @pytest.mark.parametrize("line", [
+        "sweep.seeds =", "sweep.modes =", "sweep.strides = 1,1", "sweep.strides = 1,2,2",
+        "sweep.seeds = 11,11", "sweep.modes = mussp,mussp",
+    ])
+    @pytest.mark.parametrize("command", ["sweep-fps", "ablate"])
+    def test_empty_or_repeated_sweep_values_are_config_error(self, tmp_path, command, line):
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY + line + "\n")
+        out = tmp_path / "o"
+        assert _run(command, "--config", str(p), "--out", str(out)) == 2
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_writes_scene_files(self, tiny_cfg, tmp_path):
@@ -291,6 +303,11 @@ class TestGradcheckCommand:
         assert _run("gradcheck", "--instances", "2", "--seed", "3") == 0
         out = capsys.readouterr().out
         assert "gradient check passed" in out
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_instances_below_one_is_usage_error(self, instances, capsys):
+        assert _run("gradcheck", "--instances", instances) == 2
+        assert "passed" not in capsys.readouterr().out
 
     def test_forward_offsets_keep_off_grid_lines(self):
         d = offsets_off_grid_lines(np.random.default_rng(0), (2, 40, 40), 0.7)

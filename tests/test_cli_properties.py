@@ -1,5 +1,6 @@
 """Property-based checks of the config loader: every key it knows is
-accepted, and any other key is rejected."""
+accepted, any other key is rejected, and so is a float key's value that
+is not finite."""
 import string
 
 import pytest
@@ -8,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from groundflow import io  # noqa: E402
-from groundflow.cli import load_experiment_config  # noqa: E402
+from groundflow.cli import load_experiment_config, main  # noqa: E402
 from groundflow.errors import ConfigError  # noqa: E402
 
 # every key load_experiment_config reads, with its default value
@@ -30,6 +31,8 @@ KNOWN = {
     "sweep.seeds": "0",
 }
 DEFAULT = load_experiment_config(None)
+# the float keys: those whose default has a decimal point
+FLOAT_KEYS = sorted(k for k, v in KNOWN.items() if "." in v)
 
 known_key = st.sampled_from(sorted(KNOWN))
 # random names, and near misses of known keys: a character more or less,
@@ -67,3 +70,13 @@ def test_any_unknown_key_is_rejected(tmp_path_factory, bad, keys, seed):
     with pytest.raises(ConfigError, match="unknown config key") as exc:
         load_experiment_config(_write(tmp_path_factory, keys | {bad}), seed)
     assert bad in str(exc.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_is_config_error(tmp_path, key, value):
+    path = tmp_path / "x.cfg"
+    io.write_kv(path, {key: value})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()

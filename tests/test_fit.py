@@ -273,6 +273,51 @@ class TestTargetSharing:
             _assert_same_bits(r2, r1)
 
 
+class TestFrames:
+    """A run builds each heatmap's frame once and one workspace."""
+
+    CFG = TestTargetSharing.CFG
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts what the fit builds, by name; returns the counts."""
+        counts = dict.fromkeys(("WarpPlan", "se_neighborhoods", "WarpWorkspace"), 0)
+        for name in counts:
+            def counting(*args, _name=name, _real=getattr(groundflow.fit, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(groundflow.fit, name, counting)
+        return counts
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cfg_s = SceneConfig(grid=GroundGrid(24, 24), num_agents=3, num_frames=5,
+                            speed_cells=(1.0, 1.5), turn_sigma_rad=0.1, seed=6)
+        return _pairs_from_truth(generate_scene(cfg_s)), cfg_s.grid
+
+    def test_consecutive_pairs_build_each_frame_once(self, scene, built):
+        pairs, grid = scene
+        fit_offsets(pairs, self.CFG, grid)
+        assert built["WarpPlan"] == built["se_neighborhoods"] == len(pairs) + 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_workspace_per_run(self, scene, built, inline_pool, workers):
+        pairs, grid = scene
+        fit_offsets(pairs, self.CFG, grid, workers=workers)
+        assert built["WarpWorkspace"] == workers
+
+    def test_same_heatmap_with_other_points_shares_nothing(self, scene, built, smooth_calls):
+        pairs, grid = scene
+        moved = tuple((x + 0.5, y) for x, y in pairs[1].points_t)
+        picked = [pairs[0], replace(pairs[1], points_t=moved)]
+        results = fit_offsets(picked, self.CFG, grid)
+        assert built["WarpPlan"] == built["se_neighborhoods"] == 4
+        assert len(smooth_calls) == 2 * 2 * 3
+        for pair, result in zip(picked, results):
+            _assert_same_bits(result, fit_offsets([pair], self.CFG, grid)[0])
+
+
 class TestStopRule:
     """A pair stops once its read-out settles, never while the window caps
     the block radius or before its last step-size halving."""
