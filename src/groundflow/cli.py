@@ -32,6 +32,7 @@ from .pipeline import (
     fit_scene_offsets,
     run_tracking_point,
     stride_adapted,
+    stride_gated,
     track_detections,
     zero_offset_report,
 )
@@ -317,7 +318,8 @@ def cmd_track(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tracks = track_detections(detections, args.mode, fit_results=fit_results,
-                              edges=cfg.edges, two_stage=cfg.two_stage)
+                              edges=stride_gated(cfg.edges, args.stride),
+                              two_stage=cfg.two_stage)
     io.save_trajectories(out / "tracks.csv", tracks)
     if sum(len(tr.points) for tr in truth.trajectories) and tracks:
         report = clear_mot(tracks, list(truth.trajectories), cfg.dist_threshold)

@@ -30,6 +30,9 @@ TRACK_MODES = ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset"
 FIT_MODES = ("mussp", "bytestyle-offset")
 # farthest match, in cells, of the nearest and hungarian chaining baselines
 CHAIN_MAX_DIST = 10.0
+# the flow tracker's reach per full-rate frame of gap, in cells: about nine
+# steps of the fastest default agent (1.8 cells per frame)
+REACH_CELLS_PER_FRAME = 16.0
 
 
 def stride_adapted(fit_cfg: FitConfig, stride: int) -> FitConfig:
@@ -43,6 +46,16 @@ def stride_adapted(fit_cfg: FitConfig, stride: int) -> FitConfig:
         return fit_cfg
     return replace(fit_cfg, schedule=replace(fit_cfg.schedule,
                                               init=fit_cfg.schedule.init / stride))
+
+
+def stride_gated(edges: EdgeCostParams, stride: int) -> EdgeCostParams:
+    """Gate the flow tracker's arcs at a reach that scales with the stride.
+
+    An agent moves s times farther per tracked frame of a stride-s
+    sequence, so the reach per tracked frame of gap is
+    REACH_CELLS_PER_FRAME * s.
+    """
+    return replace(edges, gate_cells=REACH_CELLS_PER_FRAME * stride)
 
 
 def detection_heatmaps(frames: list[list[Detection]], grid: GroundGrid,
@@ -201,7 +214,7 @@ def run_tracking_point(scene_cfg: SceneConfig, stride: int, mode: str,
             scene_cfg.gaussian_sigma_cells, scene_cfg.gaussian_radius_cells,
         )
     tracks = track_detections(sub_dets, mode, fit_results=fit_results,
-                              edges=edges, two_stage=two_stage)
+                              edges=stride_gated(edges, stride), two_stage=two_stage)
     report = clear_mot(tracks, list(sub_truth.trajectories), dist_threshold)
     point = SweepPoint(stride=stride, mode=mode, seed=scene_cfg.seed,
                        mota=report.mota, idf1=report.idf1, motp=report.motp)

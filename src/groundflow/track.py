@@ -4,20 +4,23 @@ ground-plane-IoU association with Kalman or learned motion).
 
 The flow tracker scores every detection with entry, observation and
 exit costs (the observation cost is negative and rewards confident
-detections) and joins detections up to `max_gap` frames apart by
-motion-aware transition costs. In this time-ordered graph a set of
-vertex-disjoint tracks is a bipartite matching of detections as
-predecessors to detections as successors (the path-cover view of
-network-flow tracking), so the global minimum over any number of
-tracks is one sparse assignment, solved by scipy's LAPJVsp
-(`min_weight_full_bipartite_matching`).
+detections) and joins detections up to `max_gap` frames apart, and
+within reach (`gate_cells` cells per frame of gap; off by default), by
+motion-aware transition costs. Every arc cost is negative, so without
+the gate any link within `max_gap`, however far, beats paying exit +
+entry. In this time-ordered graph a set of vertex-disjoint tracks is a
+bipartite matching of detections as predecessors to detections as
+successors (the path-cover view of network-flow tracking), so the
+global minimum over any number of tracks is one sparse assignment,
+solved by scipy's LAPJVsp (`min_weight_full_bipartite_matching`).
 
 The transition arcs are three parallel arrays (heads, tails, costs) in
 lexicographic (head, tail) order over the time-sorted detections, built
-one numpy block per source frame. Among equal-cost optima the result is
-whichever one LAPJVsp returns for the sparse matrix built in that
-order: deterministic, but not necessarily the optimum a
-successive-shortest-paths solver would pick.
+one numpy block per source frame; only the arcs within reach are
+stored. The solver writes its CSR matrix row by row in that order, with
+no triplet copy. Among equal-cost optima the result is whichever one
+LAPJVsp returns for that matrix: deterministic, but not necessarily
+the optimum a successive-shortest-paths solver would pick.
 
 The two-stage tracker (`run_two_stage`, after ByteTrack) holds its live
 tracks as rows of parallel arrays, so each frame's motion step, IoU
@@ -32,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .core import Detection, OffsetField, Trajectory
+from .core import Detection, Trajectory
 from .errors import InstanceTooLarge
 from .losses import bilinear_sample
 
@@ -49,6 +52,7 @@ class EdgeCostParams:
     entry_cost: float = 0.2
     exit_cost: float = 0.2
     obs_cost_scale: float = 1.0
+    gate_cells: float = math.inf   # reach per tracked frame of gap; inf: no gate
 
     def __post_init__(self):
         if self.max_gap < 1:
@@ -56,36 +60,9 @@ class EdgeCostParams:
         for name in ("sigma_t", "sigma_d", "sigma_m", "entry_cost", "exit_cost"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if not (self.obs_cost_scale > 0):
-            raise ValueError("obs_cost_scale must be positive")
-
-
-def sample_offset(field: OffsetField | None, x: float, y: float) -> tuple[float, float]:
-    """Bilinear sample of an offset field at a continuous point (border-clamped)."""
-    if field is None:
-        return 0.0, 0.0
-    px = np.array([x])
-    py = np.array([y])
-    return float(bilinear_sample(field.dx, px, py)[0]), float(bilinear_sample(field.dy, px, py)[0])
-
-
-def edge_cost(i_pos, j_pos, t1: int, t2: int, delta_bwd_at_j, p: EdgeCostParams) -> float:
-    """Transition cost between detections at t1 < t2.
-
-    -exp(-sigma_t*(gap-1)) * exp(-sigma_d*d(i,j)) * W_m, where W_m
-    discounts by the distance between i and j displaced backward by
-    gap * delta (the sampled backward offset at j).
-    """
-    gap = t2 - t1
-    if gap < 1 or gap > p.max_gap:
-        raise ValueError(f"edge gap {gap} outside [1, {p.max_gap}]")
-    d = math.hypot(i_pos[0] - j_pos[0], i_pos[1] - j_pos[1])
-    bx, by = delta_bwd_at_j
-    pred_x = j_pos[0] + gap * bx
-    pred_y = j_pos[1] + gap * by
-    dm = math.hypot(i_pos[0] - pred_x, i_pos[1] - pred_y)
-    return -(math.exp(-p.sigma_t * (gap - 1)) * math.exp(-p.sigma_d * d)
-             * math.exp(-p.sigma_m * dm))
+        for name in ("obs_cost_scale", "gate_cells"):
+            if not (getattr(self, name) > 0):
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -122,9 +99,20 @@ def build_graph(detections, bwd_fields, p: EdgeCostParams) -> TrackingGraph:
     `detections` is a flat list or per-frame lists; `bwd_fields` maps
     pair index k (frames k -> k+1) to the fitted backward field, or is
     None for motion-free costs. Observation arcs cost
-    -obs_cost_scale * confidence. Each source frame's detections are
-    scored against every detection 1..max_gap frames later in one
-    broadcast, with the arithmetic of `edge_cost`.
+    -obs_cost_scale * confidence.
+
+    Detection i at frame t_i is joined to a later detection j when the
+    gap t_j - t_i is in 1..max_gap and j lies within reach: the distance
+    d(i, j) is at most gate_cells * gap. The arc costs
+
+        -exp(-sigma_t (gap - 1)) exp(-sigma_d d(i, j)) exp(-sigma_m dm),
+
+    where dm is the distance from i to j displaced backward by gap times
+    the backward offset sampled at j (zero without a field). Each source
+    frame is costed against the detections 1..max_gap frames later in
+    one broadcast, and the pairs within reach are taken from it in
+    row-major order, so each kept arc has the bits it has with the gate
+    off. `pipeline.stride_gated` sets the reach the CLI uses.
     """
     dets = _flatten(detections)
     n = len(dets)
@@ -159,11 +147,20 @@ def build_graph(detections, bwd_fields, p: EdgeCostParams) -> TrackingGraph:
         d = np.hypot(ix - xs[e:hi], iy - ys[e:hi])
         dm = np.hypot(ix - (xs[e:hi] + gap * bx[e:hi]), iy - (ys[e:hi] + gap * by[e:hi]))
         cost = -(time_factor[gap] * np.exp(-p.sigma_d * d) * np.exp(-p.sigma_m * dm))
-        heads.append(np.repeat(np.arange(s, e, dtype=np.int64), hi - e))
-        tails.append(np.tile(np.arange(e, hi, dtype=np.int64), e - s))
-        trans.append(cost.ravel())
-    return TrackingGraph(tuple(dets), entry, exit_, obs, np.concatenate(heads),
-                         np.concatenate(tails), np.concatenate(trans), p)
+        keep = d <= p.gate_cells * gap   # masks read row-major: (head, tail) order
+        heads.append(np.repeat(np.arange(s, e, dtype=np.int64), np.count_nonzero(keep, axis=1)))
+        tails.append(np.broadcast_to(np.arange(e, hi, dtype=np.int64), keep.shape)[keep])
+        trans.append(cost[keep])
+    return TrackingGraph(tuple(dets), entry, exit_, obs, _drain(heads), _drain(tails),
+                         _drain(trans), p)
+
+
+def _drain(blocks: list) -> np.ndarray:
+    """Concatenate the blocks and let them go, so that only one of the
+    graph's arrays is ever held twice."""
+    out = np.concatenate(blocks)
+    blocks.clear()
+    return out
 
 
 def cover_cost(g: TrackingGraph, tracks: list[list[int]]) -> float:
@@ -174,7 +171,8 @@ def cover_cost(g: TrackingGraph, tracks: list[list[int]]) -> float:
     n = len(g.detections)
     want = np.array([a * n + b for track in tracks for a, b in zip(track, track[1:])],
                     dtype=np.int64)
-    keys = g.heads * n + g.tails  # ascending: arcs are in (head, tail) order
+    keys = g.heads * n  # ascending with the tails added: arcs are in (head, tail) order
+    keys += g.tails
     pos = np.searchsorted(keys, want)
     found = pos < len(keys)
     found[found] = keys[pos[found]] == want[found]
@@ -203,6 +201,38 @@ def _tracks_to_trajectories(g: TrackingGraph, tracks: list[list[int]]) -> list[T
     return out
 
 
+def _assignment_matrix(g: TrackingGraph) -> csr_matrix:
+    """The path-cover assignment of `solve_ssp_detailed` as a CSR matrix.
+
+    Row i's entries are written straight into the CSR arrays in column
+    order: i (unused), the tails of i's arcs (all later, so > i and < n),
+    n + i (exit). The arrays are the ones scipy builds from (row,
+    column, weight) triplets, without the triplets.
+    """
+    n = len(g.detections)
+    ar = np.arange(n)
+    indptr = np.zeros(n + 1, dtype=np.int32)   # LAPJVsp takes int32 indices
+    np.cumsum(np.bincount(g.heads, minlength=n) + 2, out=indptr[1:])
+    first, last = indptr[:-1], indptr[1:] - 1
+    is_arc = np.ones(indptr[-1], dtype=bool)
+    is_arc[first] = is_arc[last] = False
+    link = g.trans - g.exit[g.heads]
+    link -= g.entry[g.tails]
+    unused = -(g.entry + g.obs + g.exit)
+    shift = 1.0 - min(float(link.min(initial=0.0)), float(unused.min()))
+    link += shift
+    data = np.empty(indptr[-1])
+    data[is_arc] = link
+    del link
+    data[first] = unused + shift
+    data[last] = 0.0 + shift
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[is_arc] = g.tails
+    indices[first] = ar
+    indices[last] = n + ar
+    return csr_matrix((data, indices, indptr), shape=(n, 2 * n))
+
+
 def solve_ssp_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
     """Minimum-cost path cover; returns (index tracks, canonical cost).
 
@@ -218,14 +248,7 @@ def solve_ssp_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
     n = len(g.detections)
     if n == 0:
         return [], 0.0
-    ar = np.arange(n)
-    heads, tails = g.heads, g.tails
-    wts = np.concatenate([g.trans - g.exit[heads] - g.entry[tails],
-                          -(g.entry + g.obs + g.exit), np.zeros(n)])
-    mat = coo_matrix((wts + (1.0 - wts.min()),
-                      (np.concatenate([heads, ar, ar]), np.concatenate([tails, ar, n + ar]))),
-                     shape=(n, 2 * n)).tocsr()
-    rows, cols = min_weight_full_bipartite_matching(mat)
+    rows, cols = min_weight_full_bipartite_matching(_assignment_matrix(g))
     succ = np.empty(n, dtype=np.int64)
     succ[rows] = cols
     # a detection whose column no row took (its own row would mean

@@ -1,9 +1,44 @@
-"""Reference implementations that only tests use: the Kalman steps of one
-filter state, which the batched steps of `groundflow.track` are checked
-against, and the IoU of one pair of squares."""
+"""Reference implementations that only tests use: the cost of one flow
+arc and the offset sampled at one point, which `build_graph` is checked
+against; the Kalman steps of one filter state, which the batched steps
+of `groundflow.track` are checked against; and the IoU of one pair of
+squares."""
+import math
+
 import numpy as np
 
-from groundflow.track import MEAS_NOISE, PROCESS_NOISE
+from groundflow.core import OffsetField
+from groundflow.losses import bilinear_sample
+from groundflow.track import MEAS_NOISE, PROCESS_NOISE, EdgeCostParams
+
+
+def sample_offset(field: OffsetField | None, x: float, y: float) -> tuple[float, float]:
+    """Bilinear sample of an offset field at a continuous point (border-clamped)."""
+    if field is None:
+        return 0.0, 0.0
+    px = np.array([x])
+    py = np.array([y])
+    return float(bilinear_sample(field.dx, px, py)[0]), float(bilinear_sample(field.dy, px, py)[0])
+
+
+def edge_cost(i_pos, j_pos, t1: int, t2: int, delta_bwd_at_j, p: EdgeCostParams) -> float:
+    """Transition cost between detections at t1 < t2, whatever their
+    distance (the reach gate is not applied).
+
+    -exp(-sigma_t*(gap-1)) * exp(-sigma_d*d(i,j)) * W_m, where W_m
+    discounts by the distance between i and j displaced backward by
+    gap * delta (the sampled backward offset at j).
+    """
+    gap = t2 - t1
+    if gap < 1 or gap > p.max_gap:
+        raise ValueError(f"edge gap {gap} outside [1, {p.max_gap}]")
+    d = math.hypot(i_pos[0] - j_pos[0], i_pos[1] - j_pos[1])
+    bx, by = delta_bwd_at_j
+    pred_x = j_pos[0] + gap * bx
+    pred_y = j_pos[1] + gap * by
+    dm = math.hypot(i_pos[0] - pred_x, i_pos[1] - pred_y)
+    return -(math.exp(-p.sigma_t * (gap - 1)) * math.exp(-p.sigma_d * d)
+             * math.exp(-p.sigma_m * dm))
 
 
 def kalman_predict(mean, cov, process_noise=PROCESS_NOISE):

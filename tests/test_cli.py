@@ -7,7 +7,7 @@ import pytest
 
 from groundflow import io
 from groundflow.cli import load_experiment_config, main, offsets_off_grid_lines
-from groundflow.pipeline import fit_scene_offsets, stride_adapted, track_detections
+from groundflow.pipeline import fit_scene_offsets, stride_adapted, stride_gated, track_detections
 from groundflow.sim import corrupt_detections, generate_scene, subsample_fps
 
 TINY = """
@@ -181,7 +181,8 @@ class TestFitTrack:
             assert _run("track", "--scene", str(scene), "--offsets", str(fit), "--mode", mode,
                         "--out", str(trk), "--config", tiny_cfg, "--stride", str(stride)) == 0
             io.save_trajectories(tmp_path / "ref.csv", track_detections(
-                dets, mode, fit_results=fits, edges=cfg.edges, two_stage=cfg.two_stage))
+                dets, mode, fit_results=fits, edges=stride_gated(cfg.edges, stride),
+                two_stage=cfg.two_stage))
             assert (trk / "tracks.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), mode
 
     @pytest.mark.parametrize("fit_stride,track_stride", [(1, 2), (2, 1)])

@@ -21,13 +21,11 @@ PACKAGE = ROOT / "src" / "groundflow"
 # Reference implementations that only tests call: scalar or dense versions
 # of what the program computes in batches, and reports that tests read.
 TEST_ORACLES = (
-    "edge_cost",
     "load_trajectories",
     "loss_mot",
     "loss_fb",
     "loss_se",
     "nearest_detection_report",
-    "sample_offset",
     "reconstruct_backward",
 )
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from groundflow import pipeline
+from groundflow.cli import load_experiment_config
 from groundflow.core import Detection, GroundGrid, OffsetField
 from groundflow.errors import InstanceTooLarge
-from groundflow.pipeline import filter_noise_detections
+from groundflow.pipeline import filter_noise_detections, stride_gated
 from groundflow.sim import SceneConfig, corrupt_detections, generate_scene
 from groundflow.track import (
     MOTION_SOURCES,
@@ -18,14 +20,13 @@ from groundflow.track import (
     brute_force_detailed,
     build_graph,
     cover_cost,
-    edge_cost,
     kalman_predict_batch,
     kalman_update_batch,
     run_two_stage,
     solve_ssp,
     solve_ssp_detailed,
 )
-from oracles import kalman_predict, kalman_update, square_iou
+from oracles import edge_cost, kalman_predict, kalman_update, square_iou
 
 
 class TestEdgeCost:
@@ -96,6 +97,37 @@ class TestBuildGraph:
         gaps = set((g.tails - g.heads).tolist())
         assert gaps == {1, 2}
 
+    def test_gate_scales_with_gap(self):
+        # (0, 1) is 10 cells at gap 1, beyond reach 8; (0, 2) is 16 cells at
+        # gap 2, within 2 x 8; the bound is inclusive
+        dets = [Detection(0, 0.0, 0.0, 0.9), Detection(1, 10.0, 0.0, 0.9),
+                Detection(2, 16.0, 0.0, 0.9)]
+        g = build_graph(dets, None, EdgeCostParams(gate_cells=8.0))
+        assert list(zip(g.heads.tolist(), g.tails.tolist())) == [(0, 2), (1, 2)]
+        g = build_graph(dets, None, EdgeCostParams(gate_cells=10.0))
+        assert list(zip(g.heads.tolist(), g.tails.tolist())) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_reach_is_off_by_default_and_scales_with_stride(self):
+        assert EdgeCostParams().gate_cells == math.inf
+        assert [stride_gated(EdgeCostParams(), s).gate_cells for s in (1, 3, 5, 10)] == \
+            [16.0, 48.0, 80.0, 160.0]
+
+    def test_tracking_point_gates_by_stride(self, monkeypatch):
+        seen = []
+        real = pipeline.track_detections
+        monkeypatch.setattr(pipeline, "track_detections",
+                            lambda *a, **k: seen.append(k["edges"].gate_cells) or real(*a, **k))
+        cfg = SceneConfig(grid=GroundGrid(16, 16), num_agents=2, num_frames=7, seed=0)
+        for stride in (1, 3):
+            pipeline.run_tracking_point(cfg, stride, "mussp-nomotion",
+                                        load_experiment_config(None).fit)
+        assert seen == [16.0, 48.0]
+
+    def test_gate_must_be_positive(self):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                EdgeCostParams(gate_cells=bad)
+
 
 def _crossing_graph():
     """2x2 scenario: straight links cost -0.9, crossing links -0.5."""
@@ -155,21 +187,40 @@ class TestSolveSsp:
             _, bf_cost = brute_force_detailed(g)
             assert ssp_cost == pytest.approx(bf_cost, abs=1e-9), f"trial {trial}"
 
-    def test_pinned_crowd_instance_keeps_ssp_optimum(self):
+    @staticmethod
+    def _pinned_crowd_frames():
         # 140^2 cells, 50 agents, 40 frames, ~1.9 false positives per frame,
-        # noise filtered as track_detections does. Objective and counts were
-        # recorded with the successive-shortest-paths solver that the
-        # assignment replaced.
+        # noise filtered as track_detections does
         cfg = SceneConfig(grid=GroundGrid(140, 140), num_agents=50, num_frames=40,
                           speed_cells=(0.8, 1.8), miss_rate=0.03,
                           fp_rate_per_frame=1.875, jitter_sigma_cells=0.15, seed=200)
-        frames = filter_noise_detections(corrupt_detections(generate_scene(cfg)))
-        g = build_graph(frames, None, EdgeCostParams())
+        return filter_noise_detections(corrupt_detections(generate_scene(cfg)))
+
+    def test_pinned_crowd_instance_keeps_ssp_optimum(self):
+        # Ungated. Objective and counts were recorded with the
+        # successive-shortest-paths solver that the assignment replaced.
+        g = build_graph(self._pinned_crowd_frames(), None, EdgeCostParams(gate_cells=math.inf))
         assert (len(g.detections), len(g.trans)) == (1949, 270562)
         tracks, cost = solve_ssp_detailed(g)
         assert cost == pytest.approx(-2916.218285294614, rel=1e-9)
         assert len(tracks) == 50
         assert sum(len(tr) - 1 for tr in tracks) == 1899
+
+    def test_pinned_crowd_instance_at_stride_one_reach(self):
+        # the reach the CLI gives a full-rate sequence keeps about a sixth
+        # of the arcs and the same optimum, and every link of it lies
+        # within reach
+        p = stride_gated(EdgeCostParams(), 1)
+        g = build_graph(self._pinned_crowd_frames(), None, p)
+        assert (len(g.detections), len(g.trans)) == (1949, 44130)
+        tracks, cost = solve_ssp_detailed(g)
+        assert cost == pytest.approx(-2916.218285294614, rel=1e-9)
+        assert len(tracks) == 50
+        assert sum(len(tr) - 1 for tr in tracks) == 1899
+        for tr in tracks:
+            for a, b in zip(tr, tr[1:]):
+                i, j = g.detections[a], g.detections[b]
+                assert math.hypot(i.x - j.x, i.y - j.y) <= p.gate_cells * (j.time - i.time)
 
     def test_trajectories_are_vertex_disjoint_and_increasing(self):
         rng = np.random.default_rng(7)

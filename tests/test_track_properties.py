@@ -1,31 +1,39 @@
 """Property-based checks of the vectorized graph build against the
-per-arc definition of the transition cost, and of the batched Kalman
-steps against the steps of one filter state."""
+per-arc definition of the transition cost and the reach gate, of the
+solver's assignment matrix against scipy's triplet build, and of the
+batched Kalman steps against the steps of one filter state."""
+import math
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from groundflow import track  # noqa: E402
 from groundflow.core import Detection, GroundGrid, OffsetField  # noqa: E402
 from groundflow.track import (  # noqa: E402
     EdgeCostParams,
     brute_force_detailed,
     build_graph,
-    edge_cost,
     kalman_predict_batch,
     kalman_update_batch,
-    sample_offset,
     solve_ssp_detailed,
 )
-from oracles import kalman_predict, kalman_update  # noqa: E402
+from oracles import edge_cost, kalman_predict, kalman_update, sample_offset  # noqa: E402
 
 SIZE = 12
+# reach per frame of gap: off, or short enough to cut arcs in a SIZE scene
+gate_cells = st.one_of(st.just(math.inf), st.floats(0.25, 2 * SIZE))
 
 
 def _reference_arcs(dets, bwd_fields, p: EdgeCostParams):
     """The arcs of time-sorted detections one pair at a time: every (i, j)
-    with i < j and a gap in 1..max_gap, in (i, j) order, with its cost."""
+    with i < j, a gap in 1..max_gap and a distance within gate_cells * gap,
+    in (i, j) order, with its cost."""
     deltas = []
     for d in dets:
         fld = None
@@ -36,7 +44,8 @@ def _reference_arcs(dets, bwd_fields, p: EdgeCostParams):
     for i, a in enumerate(dets):
         for j in range(i + 1, len(dets)):
             b = dets[j]
-            if 1 <= b.time - a.time <= p.max_gap:
+            gap = b.time - a.time
+            if 1 <= gap <= p.max_gap and math.hypot(a.x - b.x, a.y - b.y) <= p.gate_cells * gap:
                 arcs.append((i, j))
                 costs.append(edge_cost((a.x, a.y), (b.x, b.y), a.time, b.time, deltas[j], p))
     return arcs, costs
@@ -50,9 +59,10 @@ def _reference_arcs(dets, bwd_fields, p: EdgeCostParams):
     per_frame_input=st.booleans(),
     with_fields=st.booleans(),
     num_fields=st.integers(0, 10),
+    gate=gate_cells,
 )
 def test_arcs_match_the_pairwise_definition(seed, per_frame, max_gap, per_frame_input,
-                                            with_fields, num_fields):
+                                            with_fields, num_fields, gate):
     # per_frame[t] detections at frame t: zeros make empty frames and gaps
     # longer than max_gap; fields may cover fewer frames than the scene
     rng = np.random.default_rng(seed)
@@ -65,7 +75,7 @@ def test_arcs_match_the_pairwise_definition(seed, per_frame, max_gap, per_frame_
         fields = [OffsetField(grid, rng.normal(0, 3, (SIZE, SIZE)), rng.normal(0, 3, (SIZE, SIZE)))
                   for _ in range(num_fields)]
     p = EdgeCostParams(sigma_t=float(rng.uniform(0, 1)), sigma_d=float(rng.uniform(0, 0.3)),
-                       sigma_m=float(rng.uniform(0, 0.3)), max_gap=max_gap)
+                       sigma_m=float(rng.uniform(0, 0.3)), max_gap=max_gap, gate_cells=gate)
     # a flat list comes in reverse time order; the build sorts it stably
     dets = frames if per_frame_input else [d for frame in frames for d in frame][::-1]
     g = build_graph(dets, fields, p)
@@ -82,11 +92,45 @@ def test_arcs_match_the_pairwise_definition(seed, per_frame, max_gap, per_frame_
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    per_frame=st.lists(st.integers(0, 12), min_size=0, max_size=9),
+    max_gap=st.integers(1, 4),
+    with_fields=st.booleans(),
+    gate=gate_cells,
+)
+def test_gated_arcs_are_the_ungated_arcs_within_reach(seed, per_frame, max_gap, with_fields,
+                                                      gate):
+    # the gate only drops arcs: the rest keep their order and their bits
+    rng = np.random.default_rng(seed)
+    frames = [[Detection(t, float(rng.uniform(-2, SIZE + 2)), float(rng.uniform(-2, SIZE + 2)),
+                         float(rng.uniform(0.1, 1.0))) for _ in range(k)]
+              for t, k in enumerate(per_frame)]
+    grid = GroundGrid(SIZE, SIZE)
+    fields = None
+    if with_fields:
+        fields = [OffsetField(grid, rng.normal(0, 3, (SIZE, SIZE)), rng.normal(0, 3, (SIZE, SIZE)))
+                  for _ in range(len(frames))]
+    p = EdgeCostParams(sigma_t=float(rng.uniform(0, 1)), sigma_d=float(rng.uniform(0, 0.3)),
+                       sigma_m=float(rng.uniform(0, 0.3)), max_gap=max_gap, gate_cells=gate)
+    g = build_graph(frames, fields, p)
+    full = build_graph(frames, fields, replace(p, gate_cells=math.inf))
+    xy = np.array([(d.x, d.y) for d in full.detections]).reshape(-1, 2)
+    t = np.array([d.time for d in full.detections], dtype=np.int64)
+    dist = np.hypot(*(xy[full.heads] - xy[full.tails]).T)
+    keep = dist <= gate * (t[full.tails] - t[full.heads])
+    assert _same_bits(g.heads, full.heads[keep])
+    assert _same_bits(g.tails, full.tails[keep])
+    assert _same_bits(g.trans, full.trans[keep])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
     per_frame=st.lists(st.integers(0, 4), min_size=1, max_size=6),
     max_gap=st.integers(1, 4),
     lattice=st.booleans(),
+    gate=gate_cells,
 )
-def test_solver_cost_equals_brute_force(seed, per_frame, max_gap, lattice):
+def test_solver_cost_equals_brute_force(seed, per_frame, max_gap, lattice, gate):
     # up to 10 detections; integer positions on a lattice give tied optima
     rng = np.random.default_rng(seed)
     dets = []
@@ -99,15 +143,58 @@ def test_solver_cost_equals_brute_force(seed, per_frame, max_gap, lattice):
     dets = dets[:10]
     p = EdgeCostParams(sigma_t=float(rng.uniform(0, 1)), sigma_d=float(rng.uniform(0.05, 0.4)),
                        sigma_m=float(rng.uniform(0, 0.4)), max_gap=max_gap,
-                       entry_cost=float(rng.uniform(0, 0.6)), exit_cost=float(rng.uniform(0, 0.6)))
+                       entry_cost=float(rng.uniform(0, 0.6)), exit_cost=float(rng.uniform(0, 0.6)),
+                       gate_cells=gate)
     g = build_graph(dets, None, p)
     _, cost = solve_ssp_detailed(g)
     _, optimum = brute_force_detailed(g)
     assert abs(cost - optimum) <= 1e-9
 
 
+def _triplet_matrix(g):
+    """The solver's assignment matrix from (row, column, weight) triplets,
+    which scipy sorts into column order within each row."""
+    n = len(g.detections)
+    ar = np.arange(n)
+    wts = np.concatenate([g.trans - g.exit[g.heads] - g.entry[g.tails],
+                          -(g.entry + g.obs + g.exit), np.zeros(n)])
+    return coo_matrix((wts + (1.0 - wts.min()),
+                       (np.concatenate([g.heads, ar, ar]), np.concatenate([g.tails, ar, n + ar]))),
+                      shape=(n, 2 * n)).tocsr()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    per_frame=st.lists(st.integers(0, 12), min_size=1, max_size=9),
+    max_gap=st.integers(1, 4),
+    gate=gate_cells,
+)
+def test_solver_matrix_is_the_triplet_matrix(seed, per_frame, max_gap, gate):
+    # the CSR arrays the solver writes row by row are the ones scipy builds
+    # from triplets, bit for bit, so LAPJVsp picks the same optimum
+    rng = np.random.default_rng(seed)
+    dets = [Detection(t, float(rng.uniform(0, SIZE)), float(rng.uniform(0, SIZE)),
+                      float(rng.uniform(0.1, 1.0))) for t, k in enumerate(per_frame) for _ in range(k)]
+    p = EdgeCostParams(max_gap=max_gap, entry_cost=float(rng.uniform(0, 2)),
+                       exit_cost=float(rng.uniform(0, 2)), gate_cells=gate)
+    g = build_graph(dets, None, p)
+    seen = []
+    real = track.min_weight_full_bipartite_matching
+    with mock.patch.object(track, "min_weight_full_bipartite_matching",
+                           lambda m: seen.append(m) or real(m)):
+        solve_ssp_detailed(g)
+    if not dets:
+        assert not seen
+        return
+    got, want = seen[0], _triplet_matrix(g)
+    assert got.shape == want.shape
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+        assert _same_bits(a, b)
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
