@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from . import io
 from .core import GroundGrid, OffsetField
 from .errors import ConfigError, Divergence, GroundflowError
 from .fit import FitConfig, FitResult, finite_diff_check, trace_csv
-from .losses import LambdaSchedule, LossWeights, loss_total
+from .losses import LossWeights, loss_total
 from .metrics import clear_mot, mean_offset_report
 from .pipeline import (
     FIT_MODES,
@@ -41,16 +40,22 @@ from .track import EdgeCostParams, TwoStageConfig
 from .warp import ReconstructionConfig
 
 
+# The CLI's scene: 8 agents on a 64 x 64 grid over 30 frames, with detection
+# noise; SceneConfig's own defaults are the clean scene c04 and c05 build on.
+SCENE = SceneConfig(GroundGrid(64, 64), num_agents=8, num_frames=30, speed_cells=(0.8, 1.8),
+                    miss_rate=0.03, fp_rate_per_frame=0.3, jitter_sigma_cells=0.15)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scene: SceneConfig
-    fit: FitConfig
-    edges: EdgeCostParams
-    two_stage: TwoStageConfig
-    fps_strides: tuple[int, ...]
-    modes: tuple[str, ...]
-    seeds: tuple[int, ...]
-    dist_threshold: float
+    scene: SceneConfig = SCENE
+    fit: FitConfig = FitConfig()
+    edges: EdgeCostParams = EdgeCostParams()
+    two_stage: TwoStageConfig = TwoStageConfig()
+    fps_strides: tuple[int, ...] = (1, 3, 5)
+    modes: tuple[str, ...] = ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset")
+    seeds: tuple[int, ...] = (0,)
+    dist_threshold: float = 2.5
 
     def __post_init__(self):
         for key, values in (("sweep.strides", self.fps_strides), ("sweep.modes", self.modes),
@@ -66,117 +71,106 @@ class ExperimentConfig:
             raise ConfigError("track.dist_threshold must be positive and finite")
 
 
-def _get(kv: dict, key: str, cast, default, used: set | None = None):
-    if used is not None:
-        used.add(key)
-    if key not in kv:
-        return default
-    raw = kv[key]
+# Every config key and the field of ExperimentConfig it sets, as a path of
+# attribute names and tuple indices.
+KEYS = {
+    "scene.width": ("scene", "grid", "width_cells"),
+    "scene.height": ("scene", "grid", "height_cells"),
+    "scene.cell_size": ("scene", "grid", "cell_size_m"),
+    "scene.num_agents": ("scene", "num_agents"),
+    "scene.num_frames": ("scene", "num_frames"),
+    "scene.speed_min": ("scene", "speed_cells", 0),
+    "scene.speed_max": ("scene", "speed_cells", 1),
+    "scene.turn_sigma": ("scene", "turn_sigma_rad"),
+    "scene.miss_rate": ("scene", "miss_rate"),
+    "scene.fp_rate": ("scene", "fp_rate_per_frame"),
+    "scene.jitter_sigma": ("scene", "jitter_sigma_cells"),
+    "scene.gaussian_sigma": ("scene", "gaussian_sigma_cells"),
+    "scene.gaussian_radius": ("scene", "gaussian_radius_cells"),
+    "scene.seed": ("scene", "seed"),
+    "fit.epochs": ("fit", "epochs"),
+    "fit.learning_rate": ("fit", "learning_rate"),
+    "fit.window": ("fit", "window_cells"),
+    "fit.se_radius": ("fit", "se_radius"),
+    "fit.schedule_init": ("fit", "schedule", "init"),
+    "fit.schedule_increment": ("fit", "schedule", "increment"),
+    "fit.schedule_cap": ("fit", "schedule", "cap"),
+    "fit.lambda_fb": ("fit", "weights", "lambda_fb"),
+    "fit.lambda_se": ("fit", "weights", "lambda_se"),
+    "edges.sigma_t": ("edges", "sigma_t"),
+    "edges.sigma_d": ("edges", "sigma_d"),
+    "edges.sigma_m": ("edges", "sigma_m"),
+    "edges.max_gap": ("edges", "max_gap"),
+    "edges.entry_cost": ("edges", "entry_cost"),
+    "edges.exit_cost": ("edges", "exit_cost"),
+    "edges.obs_cost_scale": ("edges", "obs_cost_scale"),
+    "track.box_side": ("two_stage", "box_side"),
+    "track.iou_threshold": ("two_stage", "iou_threshold"),
+    "track.max_age": ("two_stage", "max_age"),
+    "track.dist_threshold": ("dist_threshold",),
+    "sweep.strides": ("fps_strides",),
+    "sweep.modes": ("modes",),
+    "sweep.seeds": ("seeds",),
+}
+
+
+def _field(cfg, path: tuple):
+    for name in path:
+        cfg = cfg[name] if isinstance(name, int) else getattr(cfg, name)
+    return cfg
+
+
+def _rebuilt(cfg, path: tuple, values: dict):
+    """`cfg`, found at `path`, with each of `values` under it put in place;
+    each dataclass is built once, from its finished fields."""
+    if path in values:
+        return values[path]
+    if not any(p[:len(path)] == path for p in values):
+        return cfg
+    if isinstance(cfg, tuple):
+        return tuple(_rebuilt(v, path + (i,), values) for i, v in enumerate(cfg))
+    return replace(cfg, **{f.name: _rebuilt(getattr(cfg, f.name), path + (f.name,), values)
+                           for f in fields(cfg)})
+
+
+def _parsed(key: str, raw: str, default):
+    """`raw` as the type of `default`: a whole number, a finite float or a
+    comma list of its first item's type."""
     try:
-        return cast(raw)
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v.strip()) for v in raw.split(",") if v.strip())
+        value = type(default)(raw)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{raw!r} is not finite")
+        return value
     except ValueError as e:
         raise ConfigError(f"config key {key}: cannot parse {raw!r}") from e
 
 
-def _finite_float(raw: str) -> float:
-    value = float(raw)
-    if not np.isfinite(value):
-        raise ValueError(f"{raw!r} is not finite")
-    return value
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in raw.split(",") if v.strip())
-
-
-def _str_list(raw: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in raw.split(",") if v.strip())
-
-
 def load_experiment_config(path: str | None, seed_override: int | None = None) -> ExperimentConfig:
-    """The experiment config of a key file, or the defaults without one.
-    Unknown keys and out-of-range values raise ConfigError."""
+    """ExperimentConfig() with each key of a key file set.
+
+    A key of KEYS sets one field, parsed as the type of its default.
+    `fit.se_radius` defaults to `scene.gaussian_radius`, and `seed_override`
+    wins over `scene.seed`. Unknown keys and bad values raise ConfigError,
+    a key given twice FormatError.
+    """
+    kv = io.read_kv(path) if path else {}
+    unknown = set(kv) - set(KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    default = ExperimentConfig()
+    values = {KEYS[key]: _parsed(key, raw, _field(default, KEYS[key])) for key, raw in kv.items()}
+    if seed_override is not None:
+        values[KEYS["scene.seed"]] = seed_override
+    values.setdefault(KEYS["fit.se_radius"],
+                      values.get(KEYS["scene.gaussian_radius"], default.scene.gaussian_radius_cells))
     try:
-        return _load_experiment_config(path, seed_override)
+        return _rebuilt(default, (), values)
     except GroundflowError:
         raise
     except ValueError as e:
         raise ConfigError(f"config value out of range: {e}") from e
-
-
-def _load_experiment_config(path: str | None, seed_override: int | None) -> ExperimentConfig:
-    kv = io.read_kv(path) if path else {}
-    used: set = set()
-    _g = partial(_get, kv, used=used)
-    seed = _g("scene.seed", int, 0)   # read either way, so the key counts as known
-    grid = GroundGrid(
-        _g("scene.width", int, 64),
-        _g("scene.height", int, 64),
-        _g("scene.cell_size", _finite_float, 0.20),
-    )
-    scene = SceneConfig(
-        grid=grid,
-        num_agents=_g("scene.num_agents", int, 8),
-        num_frames=_g("scene.num_frames", int, 30),
-        speed_cells=(_g("scene.speed_min", _finite_float, 0.8),
-                     _g("scene.speed_max", _finite_float, 1.8)),
-        turn_sigma_rad=_g("scene.turn_sigma", _finite_float, 0.25),
-        miss_rate=_g("scene.miss_rate", _finite_float, 0.03),
-        fp_rate_per_frame=_g("scene.fp_rate", _finite_float, 0.3),
-        jitter_sigma_cells=_g("scene.jitter_sigma", _finite_float, 0.15),
-        gaussian_sigma_cells=_g("scene.gaussian_sigma", _finite_float, 1.0),
-        gaussian_radius_cells=_g("scene.gaussian_radius", _finite_float, 3.0),
-        seed=seed_override if seed_override is not None else seed,
-    )
-    schedule = LambdaSchedule(
-        init=_g("fit.schedule_init", _finite_float, 0.8),
-        increment=_g("fit.schedule_increment", _finite_float, 0.08),
-        cap=_g("fit.schedule_cap", _finite_float, 5.0),
-    )
-    weights = LossWeights(
-        lambda_fb=_g("fit.lambda_fb", _finite_float, 0.05),
-        lambda_se=_g("fit.lambda_se", _finite_float, 1.0),
-    )
-    fit_cfg = FitConfig(
-        epochs=_g("fit.epochs", int, 80),
-        learning_rate=_g("fit.learning_rate", _finite_float, 0.25),
-        schedule=schedule,
-        weights=weights,
-        window_cells=_g("fit.window", int, 21),
-        se_radius=_g("fit.se_radius", _finite_float, scene.gaussian_radius_cells),
-    )
-    edges = EdgeCostParams(
-        sigma_t=_g("edges.sigma_t", _finite_float, 0.5),
-        sigma_d=_g("edges.sigma_d", _finite_float, 0.15),
-        sigma_m=_g("edges.sigma_m", _finite_float, 0.15),
-        max_gap=_g("edges.max_gap", int, 3),
-        entry_cost=_g("edges.entry_cost", _finite_float, 0.2),
-        exit_cost=_g("edges.exit_cost", _finite_float, 0.2),
-        obs_cost_scale=_g("edges.obs_cost_scale", _finite_float, 1.0),
-    )
-    two_stage = TwoStageConfig(
-        box_side=_g("track.box_side", _finite_float, 5.0),
-        iou_threshold=_g("track.iou_threshold", _finite_float, 0.1),
-        max_age=_g("track.max_age", int, 3),
-    )
-    fps_strides = _g("sweep.strides", _int_list, (1, 3, 5))
-    modes = _g("sweep.modes", _str_list,
-               ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset"))
-    seeds = _g("sweep.seeds", _int_list, (0,))
-    dist_threshold = _g("track.dist_threshold", _finite_float, 2.5)
-    unknown = set(kv) - used
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    return ExperimentConfig(
-        scene=scene,
-        fit=fit_cfg,
-        edges=edges,
-        two_stage=two_stage,
-        fps_strides=fps_strides,
-        modes=modes,
-        seeds=seeds,
-        dist_threshold=dist_threshold,
-    )
 
 
 def _workers() -> int:
@@ -199,22 +193,7 @@ def _fmt(v: float) -> str:
 # ---------------------------------------------------------------- simulate
 
 def _scene_meta(scene: SceneConfig) -> dict:
-    return {
-        "scene.width": scene.grid.width_cells,
-        "scene.height": scene.grid.height_cells,
-        "scene.cell_size": repr(scene.grid.cell_size_m),
-        "scene.num_agents": scene.num_agents,
-        "scene.num_frames": scene.num_frames,
-        "scene.speed_min": repr(scene.speed_cells[0]),
-        "scene.speed_max": repr(scene.speed_cells[1]),
-        "scene.turn_sigma": repr(scene.turn_sigma_rad),
-        "scene.miss_rate": repr(scene.miss_rate),
-        "scene.fp_rate": repr(scene.fp_rate_per_frame),
-        "scene.jitter_sigma": repr(scene.jitter_sigma_cells),
-        "scene.gaussian_sigma": repr(scene.gaussian_sigma_cells),
-        "scene.gaussian_radius": repr(scene.gaussian_radius_cells),
-        "scene.seed": scene.seed,
-    }
+    return {key: _field(scene, path[1:]) for key, path in KEYS.items() if path[0] == "scene"}
 
 
 def load_scene_dir(scene_dir: str, stride: int):
@@ -277,6 +256,9 @@ def cmd_fit(args) -> int:
     workers = _workers()
     scene_cfg, truth, detections = load_scene_dir(args.scene, args.stride)
     fit_cfg = load_experiment_config(args.config).fit
+    if args.config is None or "fit.se_radius" not in io.read_kv(args.config):
+        # the radius the scene's heatmaps were rendered at
+        fit_cfg = replace(fit_cfg, se_radius=scene_cfg.gaussian_radius_cells)
     if sum(len(d) for d in detections) == 0 or len(detections) < 2:
         print("no frame pairs to fit (empty scene)")
         return 0

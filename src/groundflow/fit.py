@@ -41,7 +41,7 @@ lambda_r is so soft that the window caps the block radius (lambda_r <
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,13 +73,15 @@ SETTLED_STEP_FRACTION = 0.5
 
 @dataclass(frozen=True)
 class FitConfig:
-    epochs: int  # the ceiling; a pair stops sooner once its read-out settles
-    learning_rate: float = 0.05
-    schedule: LambdaSchedule = dc_field(default_factory=LambdaSchedule)
-    weights: LossWeights = dc_field(default_factory=LossWeights)
+    """How each pair is fitted. Each `fit.*` key of the CLI defaults to its field here."""
+
+    epochs: int = 80  # the ceiling; a pair stops sooner once its read-out settles
+    learning_rate: float = 0.25
+    schedule: LambdaSchedule = LambdaSchedule()
+    weights: LossWeights = LossWeights()
     # caps the warp's block radius; each offset component is clamped to
     # the window radius (window_cells - 1) / 2
-    window_cells: int = 59
+    window_cells: int = 21
     se_radius: float = 3.0
     # epochs at which the step size halves; adaptive-moments hovers at
     # learning-rate scale around an optimum, so late halving sets the

@@ -87,18 +87,6 @@ def save_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_trajectories(path) -> list[Trajectory]:
-    rows = _read_csv(path)
-    by_id: dict[int, list[tuple[int, float, float]]] = {}
-    for r in rows:
-        by_id.setdefault(int(r[1]), []).append((int(r[0]), float(r[2]), float(r[3])))
-    out = []
-    for tid in sorted(by_id):
-        pts = sorted(by_id[tid])
-        out.append(Trajectory(tid, tuple(pts)))
-    return out
-
-
 def _read_csv(path) -> list[list[str]]:
     text = Path(path).read_text()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -111,16 +99,21 @@ def _read_csv(path) -> list[list[str]]:
 
 
 def parse_kv(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; '#' starts a comment. A key given
+    on two lines is a FormatError."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise FormatError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise FormatError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
+        out[key] = value
     return out
 
 

@@ -82,19 +82,6 @@ def _same_shape(a: np.ndarray, b: np.ndarray, what: str):
         raise DimensionMismatch(f"{what}: {a.shape} vs {b.shape}")
 
 
-def loss_mot(X_hat, X_gt, cfg: ReconstructionConfig, target: np.ndarray | None = None) -> float:
-    """Squared L2 between a reconstruction and the smoothed ground truth.
-
-    `target` may carry a precomputed smoothed_target(X_gt, cfg).
-    """
-    xh = np.asarray(X_hat, dtype=np.float64)
-    if target is None:
-        target = smoothed_target(X_gt, cfg)
-    _same_shape(xh, target, "motion loss")
-    d = xh - target
-    return float((d * d).sum())
-
-
 def _bilinear_corners(shape, px: np.ndarray, py: np.ndarray):
     """Corner cells (x0, x1, y0, y1), fractions (fx, fy) and in-grid masks
     (inside_x, inside_y) of bilinear sampling at border-clamped points."""
@@ -144,10 +131,6 @@ def _cell_mesh(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     xx.setflags(write=False)
     yy.setflags(write=False)
     return xx, yy
-
-
-def loss_fb(delta_fwd, delta_bwd) -> float:
-    return loss_fb_grad(delta_fwd, delta_bwd)[0]
 
 
 def loss_fb_grad(delta_fwd, delta_bwd):
@@ -220,12 +203,6 @@ def se_neighborhoods(shape, gt_points, radius: float) -> np.ndarray:
     # cells ascend in row-major order and the padding sorts after them
     cells = np.sort(np.where(keep, ys * w + xs, h * w).reshape(len(pts), box_h * box_w), axis=1)
     return cells[:, :int(keep.sum(axis=(1, 2)).max(initial=0))]
-
-
-def loss_se(delta, gt_points, radius: float) -> float:
-    dx, dy = _offsets_of(delta)
-    hoods = se_neighborhoods(dx.shape, gt_points, radius)
-    return loss_se_grad_hoods(dx, dy, hoods)[0]
 
 
 def loss_se_grad_hoods(dx: np.ndarray, dy: np.ndarray, hoods: np.ndarray):

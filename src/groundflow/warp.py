@@ -333,13 +333,11 @@ def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float
     return g_dx, g_dy
 
 
-def _check_shapes(values, dx, dy, upstream=None):
+def _check_shapes(values, dx, dy):
     if dx.shape != values.shape or dy.shape != values.shape:
         raise DimensionMismatch(
             f"heatmap {values.shape} and offset field {dx.shape}/{dy.shape} must share one grid"
         )
-    if upstream is not None and upstream.shape != values.shape:
-        raise DimensionMismatch("upstream gradient must have the grid's shape")
 
 
 def reconstruct(X, delta, cfg: ReconstructionConfig) -> np.ndarray:
@@ -393,25 +391,6 @@ def reconstruct_dense(X, delta, lambda_r: float) -> np.ndarray:
         wb = _weights_from_l(l, lambda_r)
         out[j0:j1] = (wb * vals[None, :]).sum(axis=1)
     return out.reshape(h, w)
-
-
-def reconstruct_backward(X, delta, cfg: ReconstructionConfig,
-                         upstream) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient (d_offset_x, d_offset_y) of
-    sum(upstream * reconstruct(X, delta, cfg)) with respect to the offsets.
-
-    It vanishes where x_i is zero because the contribution is linear in
-    x_i. The heatmaps are fixed inputs of the fit, so no gradient with
-    respect to X is computed.
-    """
-    values = _values_of(X)
-    dx, dy = _offsets_of(delta)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    _check_shapes(values, dx, dy, upstream)
-    plan = WarpPlan(values, cfg.window_cells)
-    cache: dict = {}
-    reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, cache)
-    return grad_offsets_with_plan(plan, upstream, cfg.lambda_r, cache)
 
 
 def smoothed_target(X_gt, cfg: ReconstructionConfig, plan: WarpPlan | None = None,

@@ -1,15 +1,34 @@
 """Reference implementations that only tests use: the cost of one flow
 arc and the offset sampled at one point, which `build_graph` is checked
 against; the Kalman steps of one filter state, which the batched steps
-of `groundflow.track` are checked against; and the IoU of one pair of
-squares."""
+of `groundflow.track` are checked against; the IoU of one pair of
+squares; the value of each loss term alone; the offset gradient of one
+reconstruction; and the trajectory CSV reader."""
 import math
 
 import numpy as np
 
-from groundflow.core import OffsetField
-from groundflow.losses import bilinear_sample
+from groundflow.core import OffsetField, Trajectory
+from groundflow.errors import DimensionMismatch
+from groundflow.io import _read_csv
+from groundflow.losses import (
+    _same_shape,
+    bilinear_sample,
+    loss_fb_grad,
+    loss_se_grad_hoods,
+    se_neighborhoods,
+)
 from groundflow.track import MEAS_NOISE, PROCESS_NOISE, EdgeCostParams
+from groundflow.warp import (
+    ReconstructionConfig,
+    WarpPlan,
+    _check_shapes,
+    _offsets_of,
+    _values_of,
+    grad_offsets_with_plan,
+    reconstruct_with_plan,
+    smoothed_target,
+)
 
 
 def sample_offset(field: OffsetField | None, x: float, y: float) -> tuple[float, float]:
@@ -67,3 +86,51 @@ def square_iou(c1, c2, side: float) -> float:
     inter = ix * iy
     union = 2.0 * side * side - inter
     return inter / union if union > 0 else 0.0
+
+
+def loss_mot(X_hat, X_gt, cfg: ReconstructionConfig) -> float:
+    """Squared L2 between a reconstruction and the smoothed ground truth."""
+    xh = np.asarray(X_hat, dtype=np.float64)
+    target = smoothed_target(X_gt, cfg)
+    _same_shape(xh, target, "motion loss")
+    d = xh - target
+    return float((d * d).sum())
+
+
+def loss_fb(delta_fwd, delta_bwd) -> float:
+    return loss_fb_grad(delta_fwd, delta_bwd)[0]
+
+
+def loss_se(delta, gt_points, radius: float) -> float:
+    dx, dy = _offsets_of(delta)
+    hoods = se_neighborhoods(dx.shape, gt_points, radius)
+    return loss_se_grad_hoods(dx, dy, hoods)[0]
+
+
+def reconstruct_backward(X, delta, cfg: ReconstructionConfig,
+                         upstream) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient (d_offset_x, d_offset_y) of
+    sum(upstream * reconstruct(X, delta, cfg)) with respect to the offsets.
+
+    It vanishes where x_i is zero because the contribution is linear in
+    x_i. The heatmaps are fixed inputs of the fit, so no gradient with
+    respect to X is computed.
+    """
+    values = _values_of(X)
+    dx, dy = _offsets_of(delta)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    _check_shapes(values, dx, dy)
+    if upstream.shape != values.shape:
+        raise DimensionMismatch("upstream gradient must have the grid's shape")
+    plan = WarpPlan(values, cfg.window_cells)
+    cache: dict = {}
+    reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, cache)
+    return grad_offsets_with_plan(plan, upstream, cfg.lambda_r, cache)
+
+
+def load_trajectories(path) -> list[Trajectory]:
+    """Trajectories of a CSV that `io.save_trajectories` wrote, sorted by id."""
+    by_id: dict[int, list[tuple[int, float, float]]] = {}
+    for r in _read_csv(path):
+        by_id.setdefault(int(r[1]), []).append((int(r[0]), float(r[2]), float(r[3])))
+    return [Trajectory(tid, tuple(sorted(by_id[tid]))) for tid in sorted(by_id)]

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from groundflow import io
-from groundflow.cli import load_experiment_config, main, offsets_off_grid_lines
+from groundflow.cli import ExperimentConfig, load_experiment_config, main, offsets_off_grid_lines
+from groundflow.fit import FitConfig
 from groundflow.pipeline import fit_scene_offsets, stride_adapted, stride_gated, track_detections
 from groundflow.sim import corrupt_detections, generate_scene, subsample_fps
+from groundflow.track import EdgeCostParams, TwoStageConfig
+from oracles import load_trajectories
 
 TINY = """
 scene.width = 28
@@ -47,6 +50,20 @@ class TestConfig:
         assert cfg.scene.grid.width_cells == 64
         assert cfg.fit.epochs == 80
         assert cfg.edges.sigma_m == 0.15
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = load_experiment_config(None)
+        assert cfg == ExperimentConfig()
+        assert cfg.fit == FitConfig()
+        assert cfg.edges == EdgeCostParams()
+        assert cfg.two_stage == TwoStageConfig()
+
+    def test_repeated_key_is_config_error(self, tmp_path):
+        p = tmp_path / "twice.cfg"
+        p.write_text("scene.num_frames = 0\nscene.num_frames = 4\n")
+        out = tmp_path / "o"
+        assert _run("simulate", "--config", str(p), "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -162,7 +179,7 @@ class TestFitTrack:
                     "--mode", "mussp", "--out", str(trk), "--config", tiny_cfg) == 0
         report = json.loads((trk / "mot_report.json").read_text())
         assert report["mota"] > 0.9
-        tracks = io.load_trajectories(trk / "tracks.csv")
+        tracks = load_trajectories(trk / "tracks.csv")
         assert len(tracks) >= 3
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -228,6 +245,25 @@ class TestFitTrack:
         assert _run("simulate", "--config", str(cfg), "--out", str(scene)) == 0
         assert _run("fit", "--scene", str(scene), "--out", str(tmp_path / "f"),
                     "--config", str(cfg)) == 0
+
+    def test_se_radius_defaults_to_the_scene_radius(self, tmp_path):
+        # the heatmaps are rendered at radius 4.5; a fit without fit.se_radius
+        # uses that radius, and an explicit fit.se_radius wins
+        sim_cfg = tmp_path / "sim.cfg"
+        sim_cfg.write_text(TINY + "scene.gaussian_radius = 4.5\n")
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", str(sim_cfg), "--out", str(scene)) == 0
+        offsets = {}
+        for name in ("none", "4.5", "3.0"):
+            argv = ["fit", "--scene", str(scene), "--out", str(tmp_path / name)]
+            if name != "none":
+                cfg = tmp_path / f"{name}.cfg"
+                cfg.write_text(f"fit.se_radius = {name}\n")
+                argv += ["--config", str(cfg)]
+            assert _run(*argv) == 0
+            offsets[name] = (tmp_path / name / "offsets_fwd.bin").read_bytes()
+        assert offsets["none"] == offsets["4.5"]
+        assert offsets["none"] != offsets["3.0"]
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_dist_threshold_is_config_error(self, tiny_cfg, tmp_path, value):

@@ -1,6 +1,7 @@
 """Property-based checks of the config loader: every key it knows is
 accepted, any other key is rejected, and so is a float key's value that
-is not finite."""
+is not finite; a scene that `simulate` writes as meta.cfg loads back
+unchanged."""
 import string
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from groundflow import io  # noqa: E402
 from groundflow.cli import load_experiment_config, main  # noqa: E402
+from groundflow.core import GroundGrid  # noqa: E402
 from groundflow.errors import ConfigError  # noqa: E402
+from groundflow.sim import SceneConfig  # noqa: E402
 
 # every key load_experiment_config reads, with its default value
 KNOWN = {
@@ -80,3 +83,49 @@ def test_non_finite_float_is_config_error(tmp_path, key, value):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@st.composite
+def scenes(draw):
+    """A small valid scene with every field that a scene.* key sets drawn."""
+    width, height = draw(st.integers(6, 24)), draw(st.integers(6, 24))
+    speed_max = draw(st.floats(0.0, (min(width, height) - 1) / 2, exclude_max=True))
+    sigma = draw(st.floats(0.1, 2.0))
+    grid = GroundGrid(width, height, draw(st.floats(0.01, 2.0)))
+    return SceneConfig(
+        grid=grid,
+        num_agents=draw(st.integers(1, 4)),
+        num_frames=draw(st.integers(1, 4)),
+        speed_cells=(draw(st.floats(0.0, speed_max)), speed_max),
+        turn_sigma_rad=draw(st.floats(0.0, 3.0)),
+        miss_rate=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        fp_rate_per_frame=draw(st.floats(0.0, 2.0)),
+        jitter_sigma_cells=draw(st.floats(0.0, 1.0)),
+        gaussian_sigma_cells=sigma,
+        gaussian_radius_cells=draw(st.floats(sigma, 4.0)),
+        seed=draw(st.integers(0, 2**63 - 1)),
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(scene=scenes())
+def test_simulated_scene_meta_loads_back_equal(tmp_path_factory, scene):
+    tmp = tmp_path_factory.mktemp("meta")
+    io.write_kv(tmp / "scene.cfg", {
+        "scene.width": scene.grid.width_cells,
+        "scene.height": scene.grid.height_cells,
+        "scene.cell_size": repr(scene.grid.cell_size_m),
+        "scene.num_agents": scene.num_agents,
+        "scene.num_frames": scene.num_frames,
+        "scene.speed_min": repr(scene.speed_cells[0]),
+        "scene.speed_max": repr(scene.speed_cells[1]),
+        "scene.turn_sigma": repr(scene.turn_sigma_rad),
+        "scene.miss_rate": repr(scene.miss_rate),
+        "scene.fp_rate": repr(scene.fp_rate_per_frame),
+        "scene.jitter_sigma": repr(scene.jitter_sigma_cells),
+        "scene.gaussian_sigma": repr(scene.gaussian_sigma_cells),
+        "scene.gaussian_radius": repr(scene.gaussian_radius_cells),
+        "scene.seed": scene.seed,
+    })
+    assert main(["simulate", "--config", str(tmp / "scene.cfg"), "--out", str(tmp / "out")]) == 0
+    assert load_experiment_config(str(tmp / "out" / "meta.cfg")).scene == scene

@@ -158,7 +158,7 @@ class TestFitOffsets:
         g = GroundGrid(12, 12)
         z = np.zeros((12, 12))
         pair = FitPair(z, z.copy(), (), ())
-        result = fit_offsets([pair], FitConfig(epochs=30, window_cells=9), g)[0]
+        result = fit_offsets([pair], FitConfig(epochs=30, learning_rate=0.05, window_cells=9), g)[0]
         assert np.all(result.fwd.dx == 0.0) and np.all(result.fwd.dy == 0.0)
         assert np.all(result.bwd.dx == 0.0) and np.all(result.bwd.dy == 0.0)
         assert all(row["total"] == 0.0 for row in result.trace)
@@ -168,7 +168,7 @@ class TestFitOffsets:
                             speed_cells=(1.0, 1.5), turn_sigma_rad=0.1, seed=9)
         truth = generate_scene(cfg_s)
         pairs = _pairs_from_truth(truth)
-        fit_cfg = FitConfig(epochs=25, window_cells=15)
+        fit_cfg = FitConfig(epochs=25, learning_rate=0.05, window_cells=15)
         a = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=1)
         b = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=1)
         c = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=2)
@@ -185,8 +185,8 @@ class TestFitOffsets:
     def test_pool_is_capped_at_the_pair_count(self, inline_pool):
         z = np.zeros((8, 8))
         pairs = [FitPair(z, z.copy(), (), ())] * 2
-        results = fit_offsets(pairs, FitConfig(epochs=2, window_cells=5), GroundGrid(8, 8),
-                              workers=10_000)
+        results = fit_offsets(pairs, FitConfig(epochs=2, learning_rate=0.05, window_cells=5),
+                              GroundGrid(8, 8), workers=10_000)
         assert inline_pool["sizes"] == [2]
         assert len(results) == 2
 
@@ -232,7 +232,7 @@ class TestTargetSharing:
     """Consecutive pairs of one run smooth their shared frame once per lambda_r."""
 
     # 8 epochs over 3 distinct lambda_r: 0.8, 1.6 and the cap 2.4
-    CFG = FitConfig(epochs=8, window_cells=15,
+    CFG = FitConfig(epochs=8, learning_rate=0.05, window_cells=15,
                     schedule=LambdaSchedule(init=0.8, increment=0.8, cap=2.4))
 
     @pytest.fixture(scope="class")
@@ -342,7 +342,7 @@ class TestStopRule:
         # an empty pair's read-out is settled from the start, so the window
         # alone holds it: it stops at the first uncapped lambda_r that has
         # five epochs before it
-        cfg = FitConfig(epochs=60, window_cells=9,
+        cfg = FitConfig(epochs=60, learning_rate=0.05, window_cells=9,
                         schedule=LambdaSchedule(init=0.5, increment=0.1, cap=5.0))
         trace = fit_offsets([self._empty_pair()], cfg)[0].trace
         radius = (cfg.window_cells - 1) // 2
@@ -352,7 +352,8 @@ class TestStopRule:
 
     @pytest.mark.parametrize("halvings,expected", [((), 6), ((3, 17), 18)])
     def test_empty_pair_stops_after_the_last_halving(self, halvings, expected):
-        cfg = FitConfig(epochs=60, window_cells=9, lr_halving_epochs=halvings,
+        cfg = FitConfig(epochs=60, learning_rate=0.05, window_cells=9,
+                        lr_halving_epochs=halvings,
                         schedule=LambdaSchedule(init=5.0, increment=0.0, cap=5.0))
         assert len(fit_offsets([self._empty_pair()], cfg)[0].trace) == expected
 

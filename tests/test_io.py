@@ -4,6 +4,7 @@ import pytest
 from groundflow import io
 from groundflow.core import Detection, Trajectory
 from groundflow.errors import FormatError
+from oracles import load_trajectories
 
 
 class TestMapsContainer:
@@ -68,7 +69,7 @@ class TestCsv:
                Trajectory(1, [(4, 0.0, 0.0)])]
         path = tmp_path / "tracks.csv"
         io.save_trajectories(path, trs)
-        loaded = io.load_trajectories(path)
+        loaded = load_trajectories(path)
         assert [tr.id for tr in loaded] == [1, 3]
         assert loaded[1].points == ((0, 1.0, 2.0), (1, 1.5, 2.5))
 
@@ -87,6 +88,10 @@ class TestKvConfig:
     def test_rejects_garbage(self):
         with pytest.raises(FormatError):
             io.parse_kv("just some words\n")
+
+    def test_rejects_a_repeated_key(self):
+        with pytest.raises(FormatError, match=r"line 3: key 'a' already set on line 1"):
+            io.parse_kv("a = 1\nb = 2\n a=3 # again\n")
 
     def test_write_is_sorted_and_stable(self, tmp_path):
         p1 = tmp_path / "a.cfg"

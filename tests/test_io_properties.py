@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from groundflow import io  # noqa: E402
 from groundflow.core import Detection, Trajectory  # noqa: E402
+from oracles import load_trajectories  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -58,7 +59,7 @@ def test_trajectories_round_trip(tmp_path_factory, ids, data):
     ]
     path = tmp_path_factory.mktemp("tracks") / "tracks.csv"
     io.save_trajectories(path, trajectories)
-    assert io.load_trajectories(path) == sorted(trajectories, key=lambda tr: tr.id)
+    assert load_trajectories(path) == sorted(trajectories, key=lambda tr: tr.id)
 
 
 keys = st.text(string.ascii_lowercase + string.digits + "._-", min_size=1, max_size=12)

@@ -5,10 +5,7 @@ from groundflow.losses import (
     LambdaSchedule,
     LossWeights,
     bilinear_sample,
-    loss_fb,
     loss_fb_grad,
-    loss_mot,
-    loss_se,
     loss_se_grad_hoods,
     loss_total,
     se_neighborhoods,
@@ -16,6 +13,7 @@ from groundflow.losses import (
 from groundflow.sim import render_heatmap
 from groundflow.core import GroundGrid
 from groundflow.warp import ReconstructionConfig, reconstruct, smoothed_target
+from oracles import loss_fb, loss_mot, loss_se
 
 
 class TestLossMot:

@@ -20,14 +20,7 @@ PACKAGE = ROOT / "src" / "groundflow"
 
 # Reference implementations that only tests call: scalar or dense versions
 # of what the program computes in batches, and reports that tests read.
-TEST_ORACLES = (
-    "load_trajectories",
-    "loss_mot",
-    "loss_fb",
-    "loss_se",
-    "nearest_detection_report",
-    "reconstruct_backward",
-)
+TEST_ORACLES = ("nearest_detection_report",)
 
 
 def code_names(source: str) -> Counter:

@@ -12,12 +12,12 @@ from groundflow.warp import (
     WarpWorkspace,
     grad_offsets_with_plan,
     reconstruct,
-    reconstruct_backward,
     reconstruct_dense,
     reconstruct_with_plan,
     smoothed_target,
     weight,
 )
+from oracles import reconstruct_backward
 
 
 def _reconstruct_capped(X, delta, cfg):
