@@ -23,7 +23,7 @@ from .core import GroundGrid, OffsetField
 from .errors import ConfigError, Divergence, GroundflowError
 from .fit import FitConfig, FitResult, finite_diff_check, trace_csv
 from .losses import LossWeights, loss_total
-from .metrics import clear_mot, mean_offset_report
+from .metrics import DIST_THRESHOLD, clear_mot, mean_offset_report
 from .pipeline import (
     FIT_MODES,
     TRACK_MODES,
@@ -55,7 +55,7 @@ class ExperimentConfig:
     fps_strides: tuple[int, ...] = (1, 3, 5)
     modes: tuple[str, ...] = ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset")
     seeds: tuple[int, ...] = (0,)
-    dist_threshold: float = 2.5
+    dist_threshold: float = DIST_THRESHOLD
 
     def __post_init__(self):
         for key, values in (("sweep.strides", self.fps_strides), ("sweep.modes", self.modes),
@@ -76,7 +76,6 @@ class ExperimentConfig:
 KEYS = {
     "scene.width": ("scene", "grid", "width_cells"),
     "scene.height": ("scene", "grid", "height_cells"),
-    "scene.cell_size": ("scene", "grid", "cell_size_m"),
     "scene.num_agents": ("scene", "num_agents"),
     "scene.num_frames": ("scene", "num_frames"),
     "scene.speed_min": ("scene", "speed_cells", 0),
@@ -112,6 +111,7 @@ KEYS = {
     "sweep.modes": ("modes",),
     "sweep.seeds": ("seeds",),
 }
+SCENE_KEYS = {key for key, path in KEYS.items() if path[0] == "scene"}
 
 
 def _field(cfg, path: tuple):
@@ -147,20 +147,32 @@ def _parsed(key: str, raw: str, default):
         raise ConfigError(f"config key {key}: cannot parse {raw!r}") from e
 
 
-def load_experiment_config(path: str | None, seed_override: int | None = None) -> ExperimentConfig:
+def load_experiment_config(path: str | None, seed_override: int | None = None,
+                           scene_path: str | None = None) -> ExperimentConfig:
     """ExperimentConfig() with each key of a key file set.
 
-    A key of KEYS sets one field, parsed as the type of its default.
-    `fit.se_radius` defaults to `scene.gaussian_radius`, and `seed_override`
-    wins over `scene.seed`. Unknown keys and bad values raise ConfigError,
+    A key of KEYS sets one field, parsed as the type of its default. The
+    key file at `scene_path`, a scene directory's meta.cfg, holds every
+    scene key and no other, and a scene key of `path` may only repeat one
+    of them with an equal value. `fit.se_radius` defaults to
+    `scene.gaussian_radius`, and `seed_override` wins over `scene.seed`.
+    Unknown, missing or disagreeing keys and bad values raise ConfigError,
     a key given twice FormatError.
     """
-    kv = io.read_kv(path) if path else {}
-    unknown = set(kv) - set(KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     default = ExperimentConfig()
-    values = {KEYS[key]: _parsed(key, raw, _field(default, KEYS[key])) for key, raw in kv.items()}
+    values = {}
+    for file, known in ((path, set(KEYS)), (scene_path, SCENE_KEYS)):
+        kv = io.read_kv(file) if file else {}
+        unknown = set(kv) - known
+        if unknown:
+            raise ConfigError(f"{file}: unknown config key(s): {', '.join(sorted(unknown))}")
+        for key, raw in kv.items():
+            value = _parsed(key, raw, _field(default, KEYS[key]))
+            if values.setdefault(KEYS[key], value) != value:
+                raise ConfigError(f"{key} = {values[KEYS[key]]!r} in {path} disagrees with "
+                                  f"the scene's {value!r} in {file}")
+    if scene_path and (missing := SCENE_KEYS - set(kv)):  # kv: the scene file's, read last
+        raise ConfigError(f"{scene_path}: missing {', '.join(sorted(missing))}")
     if seed_override is not None:
         values[KEYS["scene.seed"]] = seed_override
     values.setdefault(KEYS["fit.se_radius"],
@@ -192,19 +204,16 @@ def _fmt(v: float) -> str:
 
 # ---------------------------------------------------------------- simulate
 
-def _scene_meta(scene: SceneConfig) -> dict:
-    return {key: _field(scene, path[1:]) for key, path in KEYS.items() if path[0] == "scene"}
-
-
-def load_scene_dir(scene_dir: str, stride: int):
-    """A scene directory's config, truth and detections, with every
-    stride-th frame kept."""
+def load_scene_dir(scene_dir: str, stride: int, config: str | None = None):
+    """A run's config, with its scene from the directory's meta.cfg and all
+    else from the key file `config` (see load_experiment_config), and the
+    directory's truth and detections with every stride-th frame kept."""
     if stride < 1:
         raise ConfigError(f"--stride must be >= 1, not {stride}")
     meta = Path(scene_dir) / "meta.cfg"
     if not meta.exists():
         raise ConfigError(f"{scene_dir}: missing meta.cfg (not a scene directory?)")
-    cfg = load_experiment_config(str(meta))
+    cfg = load_experiment_config(config, scene_path=str(meta))
     truth = generate_scene(cfg.scene)
     detections = io.load_detections(Path(scene_dir) / "detections.csv")
     while len(detections) < truth.num_frames:  # trailing empty frames
@@ -212,7 +221,7 @@ def load_scene_dir(scene_dir: str, stride: int):
     if stride > 1:
         truth = subsample_fps(truth, stride)
         detections = subsample_fps(detections, stride)
-    return cfg.scene, truth, detections
+    return cfg, truth, detections
 
 
 def _save_fields(path, fields: list[OffsetField]) -> None:
@@ -228,7 +237,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     truth = generate_scene(cfg.scene)
     detections = corrupt_detections(truth)
-    io.write_kv(out / "meta.cfg", _scene_meta(cfg.scene))
+    io.write_kv(out / "meta.cfg", {key: _field(cfg, KEYS[key]) for key in KEYS if key in SCENE_KEYS})
     io.save_trajectories(out / "truth_trajectories.csv", truth.trajectories)
     io.save_detections(out / "detections.csv", detections)
     io.save_maps(out / "gt_heatmaps.bin", [hm.values for hm in truth.gt_heatmaps])
@@ -254,20 +263,16 @@ def load_fields(path, grid: GroundGrid) -> list[OffsetField]:
 
 def cmd_fit(args) -> int:
     workers = _workers()
-    scene_cfg, truth, detections = load_scene_dir(args.scene, args.stride)
-    fit_cfg = load_experiment_config(args.config).fit
-    if args.config is None or "fit.se_radius" not in io.read_kv(args.config):
-        # the radius the scene's heatmaps were rendered at
-        fit_cfg = replace(fit_cfg, se_radius=scene_cfg.gaussian_radius_cells)
+    cfg, truth, detections = load_scene_dir(args.scene, args.stride, args.config)
     if sum(len(d) for d in detections) == 0 or len(detections) < 2:
         print("no frame pairs to fit (empty scene)")
         return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = fit_scene_offsets(detections, scene_cfg.grid,
-                                stride_adapted(fit_cfg, args.stride),
-                                scene_cfg.gaussian_sigma_cells,
-                                scene_cfg.gaussian_radius_cells,
+    results = fit_scene_offsets(detections, cfg.scene.grid,
+                                stride_adapted(cfg.fit, args.stride),
+                                cfg.scene.gaussian_sigma_cells,
+                                cfg.scene.gaussian_radius_cells,
                                 workers=workers)
     _save_fields(out / "offsets_fwd.bin", [r.fwd for r in results])
     _save_fields(out / "offsets_bwd.bin", [r.bwd for r in results])
@@ -285,11 +290,10 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------- track
 
 def cmd_track(args) -> int:
-    scene_cfg, truth, detections = load_scene_dir(args.scene, args.stride)
-    cfg = load_experiment_config(args.config)
+    cfg, truth, detections = load_scene_dir(args.scene, args.stride, args.config)
     fit_results = None
     if args.offsets:
-        grid = scene_cfg.grid
+        grid = cfg.scene.grid
         fwd = load_fields(Path(args.offsets) / "offsets_fwd.bin", grid)
         bwd = load_fields(Path(args.offsets) / "offsets_bwd.bin", grid)
         pairs = len(detections) - 1

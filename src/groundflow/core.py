@@ -30,19 +30,16 @@ def _frozen_array(values, shape=None, dtype=np.float64) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroundGrid:
-    """Discretized ground plane: width x height cells of cell_size_m meters."""
+    """Discretized ground plane of width x height cells; lengths are in cells."""
 
     width_cells: int
     height_cells: int
-    cell_size_m: float = 0.20
 
     def __post_init__(self):
         if int(self.width_cells) < 1 or int(self.height_cells) < 1:
             raise ValueError(
                 f"grid must be at least 1x1, got {self.width_cells}x{self.height_cells}"
             )
-        if not (self.cell_size_m > 0):
-            raise ValueError("cell_size_m must be positive")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -12,13 +12,13 @@ fdy, bdx, bdy) are the rows of one (4, h, w) array, which the optimizer
 steps and the clamp bounds as a whole.
 
 The pairs are fitted in contiguous runs, one run per worker. A run
-builds one _Frame per heatmap, which the pairs on either side of it
-share when their heatmaps and points there agree. The pair that warps
-toward a frame smooths it once per lambda_r and keeps the targets; the
-next pair, which warps from it, takes them back. Only work passes from
-pair to pair, so each pair's result is bit-identical to its fit alone.
-A run owns one WarpWorkspace, sized once for its largest frame at the
-first epoch's block radius.
+builds one _Frame per heatmap as it reaches the pair, which the pairs
+on either side of it share when their heatmaps and points there agree.
+A frame keeps each smoothed target it makes, keyed by lambda_r, until
+the other pair asks for that lambda_r and takes it. Only work passes
+from pair to pair, so each pair's result is bit-identical to its fit
+alone. A run owns one WarpWorkspace, sized once for its largest
+heatmap at the first epoch's block radius.
 
 `FitConfig.epochs` is a ceiling. After each epoch's step a pair reads its
 fields where the trackers read them: fdx/fdy bilinearly at its x_t
@@ -178,8 +178,8 @@ def fit_offsets(pairs, cfg: FitConfig, grid: GroundGrid | None = None,
 class _Frame:
     """One heatmap of a run and its points, with what the pairs on either
     side of it need: its plan, se_neighborhoods matrix and read-out
-    sampler, and the smoothed targets kept for the pair that warps from
-    it, one per distinct lambda_r in schedule order.
+    sampler, and the smoothed targets that one pair made and the other
+    has not taken yet, keyed by lambda_r.
 
     Each target is held packed: the bits of its nonzero cells and their
     values. A target is zero (+0.0) beyond its sources' blocks, on about
@@ -194,21 +194,17 @@ class _Frame:
         self.hoods = se_neighborhoods(self.x.shape, points, cfg.se_radius)
         self.read = bilinear_sampler(self.x.shape,
                                      *np.reshape(points, (-1, 2)).T.astype(np.float64))
-        self.targets = deque()
+        self.targets = {}
 
-    def smooth(self, rcfg: ReconstructionConfig, workspace: WarpWorkspace) -> np.ndarray:
-        """The frame's smoothed target at rcfg, which it also keeps."""
-        target = smoothed_target(self.x, rcfg, plan=self.plan, workspace=workspace)
-        nonzero = target != 0.0
-        self.targets.append((np.packbits(nonzero), target[nonzero]))
-        return target
-
-    def take(self, rcfg: ReconstructionConfig, workspace: WarpWorkspace) -> np.ndarray:
-        """The next target kept, or the frame's smoothed target at rcfg once
-        none is left (the pair before stopped sooner)."""
-        if not self.targets:
-            return smoothed_target(self.x, rcfg, plan=self.plan, workspace=workspace)
-        bits, values = self.targets.popleft()
+    def target(self, rcfg: ReconstructionConfig, workspace: WarpWorkspace) -> np.ndarray:
+        """The frame's smoothed target at rcfg: the one kept for its
+        lambda_r, which the frame gives up, or else a new one, which it keeps."""
+        if rcfg.lambda_r not in self.targets:
+            target = smoothed_target(self.x, rcfg, plan=self.plan, workspace=workspace)
+            nonzero = target != 0.0
+            self.targets[rcfg.lambda_r] = (np.packbits(nonzero), target[nonzero])
+            return target
+        bits, values = self.targets.pop(rcfg.lambda_r)
         out = np.zeros(self.x.size)
         out[np.unpackbits(bits, count=out.size).view(bool)] = values
         return out.reshape(self.x.shape)
@@ -217,22 +213,20 @@ class _Frame:
 def _fit_run(pairs: list, cfg: FitConfig, grid: GroundGrid | None,
              first_index: int) -> list[FitResult]:
     """Fit consecutive pairs one after another, over one _Frame per
-    heatmap and one WarpWorkspace (see the module docstring). Every pair
-    runs the same lambda_r schedule, so a frame's targets come in the
-    order the pair warping from it needs them."""
-    ends = deque()
-    for pair in pairs:
-        frame_t = ends[-1][1] if ends else None
+    heatmap and one WarpWorkspace (see the module docstring)."""
+    # lambda_r only rises, so the first epoch's block radius is the largest
+    k = 2 * block_radius(cfg.schedule.init, cfg.window_cells) + 1
+    workspace = WarpWorkspace(max(np.count_nonzero(x) for pair in pairs
+                                  for x in (pair.x_t, pair.x_t1)) * k * k)
+    results, frame_t1 = [], None
+    for i, pair in enumerate(pairs):
+        frame_t = frame_t1
         if not (frame_t and np.array_equal(pair.x_t, frame_t.x)
                 and np.array_equal(pair.points_t, frame_t.points)):
             frame_t = _Frame(pair.x_t, pair.points_t, cfg)
-        ends.append((frame_t, _Frame(pair.x_t1, pair.points_t1, cfg)))
-    # lambda_r only rises, so the first epoch's block radius is the largest
-    k = 2 * block_radius(cfg.schedule.init, cfg.window_cells) + 1
-    workspace = WarpWorkspace(max(f.plan.num_sources for end in ends for f in end) * k * k)
-    # a pair's frames leave the run with it, and their leftover targets too
-    return [_fit_pair(*ends.popleft(), workspace, cfg, grid, first_index + i)
-            for i in range(len(pairs))]
+        frame_t1 = _Frame(pair.x_t1, pair.points_t1, cfg)
+        results.append(_fit_pair(frame_t, frame_t1, workspace, cfg, grid, first_index + i))
+    return results
 
 
 def _fit_pair(frame_t: _Frame, frame_t1: _Frame, workspace: WarpWorkspace, cfg: FitConfig,
@@ -258,7 +252,7 @@ def _fit_pair(frame_t: _Frame, frame_t1: _Frame, workspace: WarpWorkspace, cfg: 
         # the smoothed targets depend on lambda_r only, so once the
         # schedule sits at its cap they are reused as they are
         if rcfg.lambda_r != targets_lambda:
-            targets = (frame_t1.smooth(rcfg, workspace), frame_t.take(rcfg, workspace))
+            targets = (frame_t1.target(rcfg, workspace), frame_t.target(rcfg, workspace))
             targets_lambda = rcfg.lambda_r
         out = loss_total(
             frame_t.x, frame_t1.x, (fdx, fdy), (bdx, bdy), frame_t.points, frame_t1.points,

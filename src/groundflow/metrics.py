@@ -23,6 +23,9 @@ from scipy.optimize import linear_sum_assignment
 from .core import OffsetField
 from .errors import UndefinedMetric
 
+# the distance in cells up to which a tracked point may match a true one
+DIST_THRESHOLD = 2.5
+
 
 @dataclass(frozen=True)
 class MotReport:
@@ -72,7 +75,7 @@ def _by_frame(trajectories) -> dict[int, list[tuple[int, float, float, int]]]:
     return {t: sorted(rows) for t, rows in frames.items()}
 
 
-def clear_mot(pred, gt, dist_threshold: float = 2.5) -> MotReport:
+def clear_mot(pred, gt, dist_threshold: float = DIST_THRESHOLD) -> MotReport:
     """CLEAR MOT + identity metrics for predicted vs ground-truth tracks."""
     gt_total = sum(len(tr.points) for tr in gt)
     if gt_total == 0:

@@ -12,7 +12,7 @@ from .core import Detection, GroundGrid, Heatmap, OffsetField, Trajectory
 from .detect import select_true_detections
 from .errors import ConfigError
 from .fit import FitConfig, FitPair, FitResult, fit_offsets
-from .metrics import MotReport, OffsetReport, clear_mot, mean_offset_report, offset_error
+from .metrics import DIST_THRESHOLD, MotReport, OffsetReport, clear_mot, mean_offset_report, offset_error
 from .sim import SceneConfig, SceneTruth, corrupt_detections, generate_scene, render_heatmap, subsample_fps
 from .track import (
     EdgeCostParams,
@@ -192,7 +192,7 @@ class SweepPoint:
 def run_tracking_point(scene_cfg: SceneConfig, stride: int, mode: str,
                        fit_cfg: FitConfig, edges: EdgeCostParams = EdgeCostParams(),
                        two_stage: TwoStageConfig = TwoStageConfig(),
-                       dist_threshold: float = 2.5,
+                       dist_threshold: float = DIST_THRESHOLD,
                        truth: SceneTruth | None = None,
                        detections: list[list[Detection]] | None = None,
                        fit_results: list[FitResult] | None = None

@@ -76,7 +76,7 @@ class ReconstructionConfig:
     its block radius (see block_radius)."""
 
     lambda_r: float
-    window_cells: int = 59
+    window_cells: int
 
     def __post_init__(self):
         if not (self.lambda_r > 0):

@@ -146,7 +146,7 @@ class TestSimulate:
         # SHA-256 of each file, recorded before the truth was rebuilt from one
         # positions array; any change to simulate's output shows here
         pinned = {
-            "meta.cfg": "eccd5b94c2b60b6aacb287bebc487d50d2942a4089420593fa27783b7ea179a5",
+            "meta.cfg": "524346d4c934d7239113971e091ab2051fb6156d1b37eaa1bf39afdb9f5c1a12",
             "detections.csv": "d0fbf7102ca648d4f5c961d6502ecd4a42eca74e1a55a6d1e78298f39cea2a67",
             "truth_trajectories.csv":
                 "cd656ddbd7ac9920a9ece8bb9a0a2da8eb1c4c7e18c04b2c9a12e8e4f858bfcc",
@@ -264,6 +264,36 @@ class TestFitTrack:
             offsets[name] = (tmp_path / name / "offsets_fwd.bin").read_bytes()
         assert offsets["none"] == offsets["4.5"]
         assert offsets["none"] != offsets["3.0"]
+
+    @pytest.mark.parametrize("line", ["scene.width = 200", "scene.num_agents = 0",
+                                      "scene.seed = 0"])
+    @pytest.mark.parametrize("command", [("fit",), ("track", "--mode", "mussp")],
+                             ids=["fit", "track"])
+    def test_scene_key_that_disagrees_with_the_scene_is_config_error(
+            self, tiny_cfg, tmp_path, capsys, command, line):
+        # the scene comes from meta.cfg (28 x 28, 3 agents, seed 11)
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        rc = _run(*command, "--scene", str(scene), "--out", str(out), "--config", str(cfg))
+        assert rc == 2
+        assert not out.exists()
+        assert line.split(" =")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta + "scene.cell_size = 0.2\n",   # written before the key was removed
+        lambda meta: meta + "fit.epochs = 3\n",
+        lambda meta: meta.replace("scene.width = 28\n", ""),
+    ], ids=["cell_size", "fit_key", "no_width"])
+    def test_meta_cfg_that_is_not_the_scene_keys_is_config_error(self, tiny_cfg, tmp_path, edit):
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        (scene / "meta.cfg").write_text(edit((scene / "meta.cfg").read_text()))
+        out = tmp_path / "o"
+        assert _run("fit", "--scene", str(scene), "--out", str(out), "--config", tiny_cfg) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_bad_dist_threshold_is_config_error(self, tiny_cfg, tmp_path, value):

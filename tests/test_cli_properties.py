@@ -17,7 +17,7 @@ from groundflow.sim import SceneConfig  # noqa: E402
 
 # every key load_experiment_config reads, with its default value
 KNOWN = {
-    "scene.width": "64", "scene.height": "64", "scene.cell_size": "0.2",
+    "scene.width": "64", "scene.height": "64",
     "scene.num_agents": "8", "scene.num_frames": "30",
     "scene.speed_min": "0.8", "scene.speed_max": "1.8", "scene.turn_sigma": "0.25",
     "scene.miss_rate": "0.03", "scene.fp_rate": "0.3", "scene.jitter_sigma": "0.15",
@@ -91,9 +91,8 @@ def scenes(draw):
     width, height = draw(st.integers(6, 24)), draw(st.integers(6, 24))
     speed_max = draw(st.floats(0.0, (min(width, height) - 1) / 2, exclude_max=True))
     sigma = draw(st.floats(0.1, 2.0))
-    grid = GroundGrid(width, height, draw(st.floats(0.01, 2.0)))
     return SceneConfig(
-        grid=grid,
+        grid=GroundGrid(width, height),
         num_agents=draw(st.integers(1, 4)),
         num_frames=draw(st.integers(1, 4)),
         speed_cells=(draw(st.floats(0.0, speed_max)), speed_max),
@@ -114,7 +113,6 @@ def test_simulated_scene_meta_loads_back_equal(tmp_path_factory, scene):
     io.write_kv(tmp / "scene.cfg", {
         "scene.width": scene.grid.width_cells,
         "scene.height": scene.grid.height_cells,
-        "scene.cell_size": repr(scene.grid.cell_size_m),
         "scene.num_agents": scene.num_agents,
         "scene.num_frames": scene.num_frames,
         "scene.speed_min": repr(scene.speed_cells[0]),

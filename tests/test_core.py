@@ -8,12 +8,11 @@ class TestGroundGrid:
     def test_shape_and_defaults(self):
         g = GroundGrid(180, 80)
         assert g.shape == (80, 180)
-        assert g.cell_size_m == 0.20
 
-    @pytest.mark.parametrize("w,h,cell", [(0, 4, 0.2), (4, 0, 0.2), (4, 4, 0.0), (4, 4, -1.0)])
-    def test_rejects_bad_dimensions(self, w, h, cell):
+    @pytest.mark.parametrize("w,h", [(0, 4), (4, 0)])
+    def test_rejects_bad_dimensions(self, w, h):
         with pytest.raises(ValueError):
-            GroundGrid(w, h, cell)
+            GroundGrid(w, h)
 
 
 class TestHeatmap:

@@ -1,5 +1,6 @@
 """Every top-level function and class of the package, public or private, is
-reached by other program code, or is a named test oracle.
+reached by other program code, or is a named test oracle; every config key
+sets a field that the program reads.
 
 A name counts as reached when it occurs as a name token in the code of
 ``src/groundflow`` (outside ``__init__.py``) or ``bench/*.py`` other than
@@ -13,7 +14,10 @@ import io
 import re
 import tokenize
 from collections import Counter
+from functools import reduce
 from pathlib import Path
+
+from groundflow.cli import KEYS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "groundflow"
@@ -71,4 +75,30 @@ def test_every_named_oracle_is_read_by_a_test():
     tests = "\n".join(p.read_text() for p in sorted(Path(__file__).parent.rglob("*.py"))
                       if p.name != Path(__file__).name)
     unread = [name for name in TEST_ORACLES if not re.search(rf"\b{name}\b", tests)]
+    assert unread == []
+
+
+def attribute_reads(source: str) -> set[tuple[str, str | None]]:
+    """(name, owner) for each attribute read in `source`: owner is the class
+    whose __post_init__ the read is in, or None."""
+    tree = ast.parse(source)
+    owner = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    owner.update((id(node), cls.name) for node in ast.walk(fn))
+    return {(node.attr, owner.get(id(node))) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_config_key_sets_a_field_that_the_program_reads():
+    # a field that only its own class's validation reads sets nothing
+    reads = set().union(*(attribute_reads(p.read_text()) for p in PACKAGE.glob("*.py")))
+    unread = []
+    for key, path in KEYS.items():
+        *parents, name = [step for step in path if isinstance(step, str)]
+        cls = type(reduce(getattr, parents, ExperimentConfig())).__name__
+        if not any(attr == name and where != cls for attr, where in reads):
+            unread.append(key)
     assert unread == []
