@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io
 from .core import GroundGrid, OffsetField
-from .errors import ConfigError, Divergence, GroundflowError
+from .errors import ConfigError, Divergence, FormatError, GroundflowError
 from .fit import FitConfig, FitResult, finite_diff_check, trace_csv
 from .losses import LossWeights, loss_total
 from .metrics import DIST_THRESHOLD, clear_mot, mean_offset_report
@@ -207,7 +207,9 @@ def _fmt(v: float) -> str:
 def load_scene_dir(scene_dir: str, stride: int, config: str | None = None):
     """A run's config, with its scene from the directory's meta.cfg and all
     else from the key file `config` (see load_experiment_config), and the
-    directory's truth and detections with every stride-th frame kept."""
+    directory's truth and detections with every stride-th frame kept.
+    The detections are read as one list of the scene's frames, so a row
+    whose time lies outside the scene is a FormatError."""
     if stride < 1:
         raise ConfigError(f"--stride must be >= 1, not {stride}")
     meta = Path(scene_dir) / "meta.cfg"
@@ -215,9 +217,7 @@ def load_scene_dir(scene_dir: str, stride: int, config: str | None = None):
         raise ConfigError(f"{scene_dir}: missing meta.cfg (not a scene directory?)")
     cfg = load_experiment_config(config, scene_path=str(meta))
     truth = generate_scene(cfg.scene)
-    detections = io.load_detections(Path(scene_dir) / "detections.csv")
-    while len(detections) < truth.num_frames:  # trailing empty frames
-        detections.append([])
+    detections = io.load_detections(Path(scene_dir) / "detections.csv", truth.num_frames)
     if stride > 1:
         truth = subsample_fps(truth, stride)
         detections = subsample_fps(detections, stride)
@@ -257,6 +257,8 @@ def load_fields(path, grid: GroundGrid) -> list[OffsetField]:
     w, h, channels = io.load_maps(path)
     if (w, h) != (grid.width_cells, grid.height_cells) or len(channels) % 2:
         raise ConfigError(f"{path}: offset container does not match the scene grid")
+    if not all(np.isfinite(c).all() for c in channels):
+        raise FormatError(f"{path}: offset container holds a non-finite value")
     return [OffsetField(grid, channels[2 * k], channels[2 * k + 1])
             for k in range(len(channels) // 2)]
 

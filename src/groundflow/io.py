@@ -66,16 +66,28 @@ def save_detections(path, frames: Sequence[Sequence[Detection]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_detections(path) -> list[list[Detection]]:
-    """Read detections grouped by frame (list index = frame time)."""
-    rows = _read_csv(path)
-    if not rows:
-        return []
-    t_max = max(int(r[0]) for r in rows)
-    frames: list[list[Detection]] = [[] for _ in range(t_max + 1)]
-    for r in rows:
-        t = int(r[0])
-        frames[t].append(Detection(t, float(r[2]), float(r[3]), float(r[4])))
+def load_detections(path, num_frames: int) -> list[list[Detection]]:
+    """Read the detections of a `num_frames`-frame scene: frame t of the
+    list holds the detections of time t, in file order.
+
+    A row is five fields: a time in 0..num_frames - 1, a whole-number id
+    and finite x, y and confidence. Any other row is a FormatError that
+    names the file and the line.
+    """
+    frames: list[list[Detection]] = [[] for _ in range(num_frames)]
+    for lineno, r in _read_csv(path):
+        where = f"{path}, line {lineno}"
+        if len(r) != 5:
+            raise FormatError(f"{where}: expected 5 fields, found {len(r)}")
+        try:
+            t, _, x, y, conf = int(r[0]), int(r[1]), float(r[2]), float(r[3]), float(r[4])
+        except ValueError as e:
+            raise FormatError(f"{where}: {e}") from e
+        if not np.isfinite((x, y, conf)).all():
+            raise FormatError(f"{where}: x, y and confidence must be finite")
+        if not 0 <= t < num_frames:
+            raise FormatError(f"{where}: time {t} is outside the scene's frames 0..{num_frames - 1}")
+        frames[t].append(Detection(t, x, y, conf))
     return frames
 
 
@@ -87,15 +99,17 @@ def save_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_csv(path) -> list[list[str]]:
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+def _read_csv(path) -> list[tuple[int, list[str]]]:
+    """The rows after the header, each with its line number; blank lines
+    are skipped."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(Path(path).read_text().splitlines(), start=1)
+             if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty CSV")
-    header = lines[0].split(",")
-    if [c.strip() for c in header] != ["time", "id", "x", "y", "confidence"]:
-        raise FormatError(f"{path}: unexpected CSV header {lines[0]!r}")
-    return [ln.split(",") for ln in lines[1:]]
+    header = lines[0][1]
+    if [c.strip() for c in header.split(",")] != ["time", "id", "x", "y", "confidence"]:
+        raise FormatError(f"{path}: unexpected CSV header {header!r}")
+    return [(n, ln.split(",")) for n, ln in lines[1:]]
 
 
 def parse_kv(text: str) -> dict[str, str]:

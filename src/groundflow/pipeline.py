@@ -68,8 +68,9 @@ def detection_heatmaps(frames: list[list[Detection]], grid: GroundGrid,
 
 
 def filter_noise_detections(frames: list[list[Detection]]) -> list[list[Detection]]:
-    """Drop the low-confidence noise cluster (2-means split over the whole
-    sequence) before the detections feed the motion fit."""
+    """The confident detections: the stream without its low-confidence
+    noise cluster (2-means split over the whole sequence). The motion fit
+    and the trackers that split by confidence all take this one set."""
     flat = [d for dets in frames for d in dets]
     if not flat:
         return frames
@@ -143,40 +144,32 @@ def track_detections(frames: list[list[Detection]], mode: str,
     """Run one tracking mode over a detection sequence.
 
     Modes needing fitted offsets (mussp, bytestyle-offset) read them
-    from `fit_results`; absent fields degrade to zero motion. The flow
-    modes drop the noise detections first (`filter_noise_detections`).
+    from `fit_results`; absent fields degrade to zero motion. The
+    confident detections are the ones `filter_noise_detections` keeps:
+    the flow modes track only those, and the two-stage modes take them
+    as their high-confidence set (`conf_split` is the least kept
+    confidence) and offer the rest in their second stage.
     """
     if mode not in TRACK_MODES:
         raise ConfigError(f"unknown tracking mode {mode!r}; choose from {TRACK_MODES}")
+    if mode == "nearest":
+        return _chain_tracker(frames, lambda a, b: associate_nearest(a, b, CHAIN_MAX_DIST))
+    if mode == "hungarian":
+        return _chain_tracker(frames, lambda a, b: associate_hungarian(a, b, cutoff=CHAIN_MAX_DIST))
     bwd_fields = fwd_fields = None
     if fit_results is not None:
         fwd_fields = [r.fwd for r in fit_results]
         bwd_fields = [r.bwd for r in fit_results]
-
-    if mode in ("mussp", "mussp-nomotion"):
-        frames = filter_noise_detections(frames)
-        params = edges if mode == "mussp" else replace(edges, sigma_m=0.0)
-        graph = build_graph(frames, bwd_fields if mode == "mussp" else None, params)
-        return solve_ssp(graph)
+    kept = filter_noise_detections(frames)
+    if mode == "mussp":
+        return solve_ssp(build_graph(kept, bwd_fields, edges))
+    if mode == "mussp-nomotion":
+        return solve_ssp(build_graph(kept, None, replace(edges, sigma_m=0.0)))
+    conf_split = min((d.confidence for dets in kept for d in dets), default=0.5)
     if mode == "bytestyle-kalman":
-        return run_two_stage(frames, "kalman", conf_split=_conf_split(frames), cfg=two_stage)
-    if mode == "bytestyle-offset":
-        return run_two_stage(frames, "learned-offset", fwd_fields=fwd_fields,
-                             conf_split=_conf_split(frames), cfg=two_stage)
-    if mode == "nearest":
-        return _chain_tracker(frames, lambda a, b: associate_nearest(a, b, CHAIN_MAX_DIST))
-    return _chain_tracker(frames, lambda a, b: associate_hungarian(a, b, cutoff=CHAIN_MAX_DIST))
-
-
-def _conf_split(frames) -> float:
-    """Confidence threshold separating high- from low-confidence detections."""
-    flat = [d for dets in frames for d in dets]
-    if not flat:
-        return 0.5
-    kept, threshold = select_true_detections(flat)
-    if len(kept) == len(flat):
-        return min(d.confidence for d in flat)  # unimodal: everything is high
-    return threshold
+        return run_two_stage(frames, "kalman", conf_split=conf_split, cfg=two_stage)
+    return run_two_stage(frames, "learned-offset", fwd_fields=fwd_fields,
+                         conf_split=conf_split, cfg=two_stage)
 
 
 @dataclass(frozen=True)

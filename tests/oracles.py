@@ -131,6 +131,6 @@ def reconstruct_backward(X, delta, cfg: ReconstructionConfig,
 def load_trajectories(path) -> list[Trajectory]:
     """Trajectories of a CSV that `io.save_trajectories` wrote, sorted by id."""
     by_id: dict[int, list[tuple[int, float, float]]] = {}
-    for r in _read_csv(path):
+    for _, r in _read_csv(path):
         by_id.setdefault(int(r[1]), []).append((int(r[0]), float(r[2]), float(r[3])))
     return [Trajectory(tid, tuple(sorted(by_id[tid]))) for tid in sorted(by_id)]

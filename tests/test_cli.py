@@ -326,6 +326,43 @@ class TestFitTrack:
         rc = _run("fit", "--scene", str(scene), "--out", str(tmp_path / "f"))
         assert rc == 2
 
+    @pytest.mark.parametrize("row", [
+        "-1,-1,5.0,5.0,0.9", "6,-1,5.0,5.0,0.9",              # times outside the 6 frames
+        "2,-1,abc,5.0,0.9", "2,-1,5.0", "2,-1,5.0,5.0,nan",
+    ], ids=["time_-1", "time_6", "abc_x", "three_fields", "nan_conf"])
+    @pytest.mark.parametrize("command", [("fit",), ("track", "--mode", "mussp")],
+                             ids=["fit", "track"])
+    def test_malformed_detection_row_is_format_error(self, tiny_cfg, tmp_path, capsys,
+                                                     command, row):
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        csv = scene / "detections.csv"
+        lines = csv.read_text().splitlines()
+        lines[3] = row
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert _run(*command, "--scene", str(scene), "--out", str(out), "--config", tiny_cfg) == 2
+        assert not out.exists()
+        assert "detections.csv, line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_offset_is_format_error(self, tiny_cfg, tmp_path, capsys, value):
+        # zero offsets for the 5 pairs of the 28 x 28 scene, one value not finite
+        scene = tmp_path / "scene"
+        fit = tmp_path / "fit"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        fit.mkdir()
+        channels = [np.zeros((28, 28)) for _ in range(10)]
+        io.save_maps(fit / "offsets_bwd.bin", channels)
+        channels[1][3, 4] = value
+        io.save_maps(fit / "offsets_fwd.bin", channels)
+        out = tmp_path / "trk"
+        rc = _run("track", "--scene", str(scene), "--offsets", str(fit), "--mode", "mussp",
+                  "--out", str(out), "--config", tiny_cfg)
+        assert rc == 2
+        assert not out.exists()
+        assert "offsets_fwd.bin" in capsys.readouterr().err
+
     def test_empty_detections_reports_nan(self, tiny_cfg, tmp_path, capsys):
         scene = tmp_path / "scene"
         _run("simulate", "--config", tiny_cfg, "--out", str(scene))

@@ -1,9 +1,13 @@
 """Property-based checks of the config loader: every key it knows is
 accepted, any other key is rejected, and so is a float key's value that
 is not finite; a scene that `simulate` writes as meta.cfg loads back
-unchanged."""
+unchanged. And of the exit codes of `fit` and `track` on a scene
+directory with one line of detections.csv or one value of
+offsets_fwd.bin mangled: 0 or 2, and no output directory on a 2."""
+import shutil
 import string
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -13,6 +17,7 @@ from groundflow import io  # noqa: E402
 from groundflow.cli import load_experiment_config, main  # noqa: E402
 from groundflow.core import GroundGrid  # noqa: E402
 from groundflow.errors import ConfigError  # noqa: E402
+from groundflow.pipeline import FIT_MODES, TRACK_MODES  # noqa: E402
 from groundflow.sim import SceneConfig  # noqa: E402
 
 # every key load_experiment_config reads, with its default value
@@ -127,3 +132,91 @@ def test_simulated_scene_meta_loads_back_equal(tmp_path_factory, scene):
     })
     assert main(["simulate", "--config", str(tmp / "scene.cfg"), "--out", str(tmp / "out")]) == 0
     assert load_experiment_config(str(tmp / "out" / "meta.cfg")).scene == scene
+
+
+# a six-frame scene, fitted in a few epochs
+TINY = """
+scene.width = 28
+scene.height = 28
+scene.num_agents = 3
+scene.num_frames = 6
+scene.speed_min = 1.0
+scene.speed_max = 1.5
+scene.miss_rate = 0.0
+scene.fp_rate = 0.2
+scene.seed = 11
+fit.epochs = 3
+fit.window = 15
+"""
+NUM_FRAMES = 6
+
+
+@pytest.fixture(scope="module")
+def fitted_scene(tmp_path_factory):
+    """A simulated TINY scene directory, its config and its fitted offsets."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    (tmp / "tiny.cfg").write_text(TINY)
+    assert main(["simulate", "--config", str(tmp / "tiny.cfg"), "--out", str(tmp / "scene")]) == 0
+    assert main(["fit", "--scene", str(tmp / "scene"), "--out", str(tmp / "fit"),
+                 "--config", str(tmp / "tiny.cfg")]) == 0
+    return tmp
+
+
+def _run_into(argv, out) -> int:
+    rc = main(argv + ["--out", str(out)])
+    assert rc in (0, 2)
+    assert rc == 0 or not out.exists()
+    return rc
+
+
+@st.composite
+def mangled_rows(draw, row: list[str]):
+    """`row` mangled, and whether the result still is a valid row: a
+    field dropped, a field that is no number, a non-finite field or
+    another time."""
+    kind = draw(st.sampled_from(["drop", "word", "non_finite", "time"]))
+    field = draw(st.integers(0, 4))
+    row = list(row)
+    if kind == "drop":
+        del row[field]
+    elif kind == "word":
+        row[field] = draw(st.sampled_from(["abc", "", "1e", "0x1"]))
+    elif kind == "non_finite":
+        row[field] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]))
+    else:
+        t = draw(st.integers(-3, NUM_FRAMES + 3))
+        row[0] = str(t)
+        return ",".join(row), 0 <= t < NUM_FRAMES
+    return ",".join(row), False
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), mode=st.sampled_from(TRACK_MODES))
+def test_mangled_detection_row_exits_0_or_2(fitted_scene, tmp_path_factory, data, mode):
+    tmp = tmp_path_factory.mktemp("mangled")
+    scene = tmp / "scene"
+    shutil.copytree(fitted_scene / "scene", scene)
+    lines = (scene / "detections.csv").read_text().splitlines()
+    k = data.draw(st.integers(1, len(lines) - 1))
+    lines[k], valid = data.draw(mangled_rows(lines[k].split(",")))
+    (scene / "detections.csv").write_text("\n".join(lines) + "\n")
+    cfg = str(fitted_scene / "tiny.cfg")
+    for argv in (["fit"], ["track", "--mode", mode]):
+        rc = _run_into(argv + ["--scene", str(scene), "--config", cfg], tmp / argv[0])
+        assert rc == (0 if valid else 2), (argv, lines[k])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), mode=st.sampled_from(FIT_MODES),
+       value=st.floats(width=32) | st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_mangled_offset_exits_0_or_2(fitted_scene, tmp_path_factory, data, mode, value):
+    tmp = tmp_path_factory.mktemp("mangled")
+    fit = tmp / "fit"
+    shutil.copytree(fitted_scene / "fit", fit)
+    w, h, channels = io.load_maps(fit / "offsets_fwd.bin")
+    c = data.draw(st.integers(0, len(channels) - 1))
+    channels[c][data.draw(st.integers(0, h - 1)), data.draw(st.integers(0, w - 1))] = value
+    io.save_maps(fit / "offsets_fwd.bin", channels)
+    rc = _run_into(["track", "--scene", str(fitted_scene / "scene"), "--offsets", str(fit),
+                    "--mode", mode, "--config", str(fitted_scene / "tiny.cfg")], tmp / "trk")
+    assert rc == (0 if np.isfinite(value) else 2)

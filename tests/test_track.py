@@ -379,6 +379,18 @@ class TestTwoStage:
         out = run_two_stage(frames, "learned-offset", cfg=TwoStageConfig(box_side=5.0))
         assert [_pts(tr) for tr in out] == [[(10.0, 10.0), (10.5, 10.0)]]
 
+    def test_no_track_starts_at_a_detection_the_split_drops(self):
+        # the 2-means split of these confidences lies exactly at 0.3, and a
+        # detection is confident only strictly above it; each detection is
+        # alone in its frame, so every confident one starts a track
+        frames = [[Detection(t, 5.0 + 10.0 * t, 5.0, c)]
+                  for t, c in enumerate((0.0, 0.0, 0.3, 0.4, 0.6))]
+        kept = [d for dets in filter_noise_detections(frames) for d in dets]
+        assert [d.confidence for d in kept] == [0.4, 0.6]
+        for mode in ("bytestyle-kalman", "bytestyle-offset"):
+            tracks = pipeline.track_detections(frames, mode)
+            assert [tr.points[0] for tr in tracks] == [(3, 35.0, 5.0), (4, 45.0, 5.0)], mode
+
     def test_bad_motion_source_and_config_rejected(self):
         with pytest.raises(ValueError):
             run_two_stage([], "none")

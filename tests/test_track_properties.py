@@ -1,7 +1,8 @@
 """Property-based checks of the vectorized graph build against the
 per-arc definition of the transition cost and the reach gate, of the
-solver's assignment matrix against scipy's triplet build, and of the
-batched Kalman steps against the steps of one filter state."""
+solver's assignment matrix against scipy's triplet build, of the
+batched Kalman steps against the steps of one filter state, and of the
+two-stage trackers' high-confidence set against the noise split."""
 import math
 from dataclasses import replace
 from unittest import mock
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from groundflow import track  # noqa: E402
 from groundflow.core import Detection, GroundGrid, OffsetField  # noqa: E402
+from groundflow.pipeline import filter_noise_detections, track_detections  # noqa: E402
 from groundflow.track import (  # noqa: E402
     EdgeCostParams,
     brute_force_detailed,
@@ -215,3 +217,23 @@ def test_batched_kalman_steps_equal_the_scalar_ones(seed, size):
         assert _same_bits(pm[t], mean) and _same_bits(pc[t], cov)
         mean, cov = kalman_update(mean, cov, zs[t])
         assert _same_bits(um[t], mean) and _same_bits(uc[t], cov)
+
+
+# confidences on a coarse lattice tie often, with each other and with the split
+confidence = st.one_of(st.sampled_from([k / 10 for k in range(11)]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=6), data=st.data())
+def test_two_stage_high_set_is_the_kept_set(counts, data):
+    # every detection sits 10 cells from any other, so none overlaps a
+    # track's box and every high-confidence one starts a track
+    frames, k = [], 0
+    for t, n in enumerate(counts):
+        frames.append([Detection(t, 10.0 * (k + i), 5.0, data.draw(confidence))
+                       for i in range(n)])
+        k += n
+    kept = {(d.time, d.x, d.y) for dets in filter_noise_detections(frames) for d in dets}
+    for mode in ("bytestyle-kalman", "bytestyle-offset"):
+        starts = {tr.points[0] for tr in track_detections(frames, mode)}
+        assert starts == kept, mode
