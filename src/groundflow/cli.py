@@ -209,7 +209,8 @@ def load_scene_dir(scene_dir: str, stride: int, config: str | None = None):
     else from the key file `config` (see load_experiment_config), and the
     directory's truth and detections with every stride-th frame kept.
     The detections are read as one list of the scene's frames, so a row
-    whose time lies outside the scene is a FormatError."""
+    whose time lies outside the scene, or whose position lies off its
+    grid, is a FormatError."""
     if stride < 1:
         raise ConfigError(f"--stride must be >= 1, not {stride}")
     meta = Path(scene_dir) / "meta.cfg"
@@ -217,7 +218,8 @@ def load_scene_dir(scene_dir: str, stride: int, config: str | None = None):
         raise ConfigError(f"{scene_dir}: missing meta.cfg (not a scene directory?)")
     cfg = load_experiment_config(config, scene_path=str(meta))
     truth = generate_scene(cfg.scene)
-    detections = io.load_detections(Path(scene_dir) / "detections.csv", truth.num_frames)
+    detections = io.load_detections(Path(scene_dir) / "detections.csv", truth.num_frames,
+                                   cfg.scene.grid)
     if stride > 1:
         truth = subsample_fps(truth, stride)
         detections = subsample_fps(detections, stride)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Detection, Trajectory
+from .core import Detection, GroundGrid, Trajectory
 from .errors import DimensionMismatch, FormatError
 
 MAGIC = b"GFH1"
@@ -66,14 +66,16 @@ def save_detections(path, frames: Sequence[Sequence[Detection]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_detections(path, num_frames: int) -> list[list[Detection]]:
-    """Read the detections of a `num_frames`-frame scene: frame t of the
-    list holds the detections of time t, in file order.
+def load_detections(path, num_frames: int, grid: GroundGrid) -> list[list[Detection]]:
+    """Read the detections of a `num_frames`-frame scene on `grid`: frame
+    t of the list holds the detections of time t, in file order.
 
-    A row is five fields: a time in 0..num_frames - 1, a whole-number id
-    and finite x, y and confidence. Any other row is a FormatError that
-    names the file and the line.
+    A row is five fields: a time in 0..num_frames - 1, a whole-number id,
+    a position on the grid (x in [0, width), y in [0, height)) and a
+    finite confidence. Any other row is a FormatError that names the file
+    and the line.
     """
+    w, h = grid.width_cells, grid.height_cells
     frames: list[list[Detection]] = [[] for _ in range(num_frames)]
     for lineno, r in _read_csv(path):
         where = f"{path}, line {lineno}"
@@ -87,6 +89,8 @@ def load_detections(path, num_frames: int) -> list[list[Detection]]:
             raise FormatError(f"{where}: x, y and confidence must be finite")
         if not 0 <= t < num_frames:
             raise FormatError(f"{where}: time {t} is outside the scene's frames 0..{num_frames - 1}")
+        if not (0 <= x < w and 0 <= y < h):
+            raise FormatError(f"{where}: point ({x}, {y}) is outside the {w}x{h} grid")
         frames[t].append(Detection(t, x, y, conf))
     return frames
 

@@ -47,7 +47,7 @@ class LossWeights:
     lambda_se: float = 1.0
 
     def __post_init__(self):
-        if self.lambda_fb < 0 or self.lambda_se < 0:
+        if not (self.lambda_fb >= 0 and self.lambda_se >= 0):
             raise ValueError("loss weights must be nonnegative")
 
 

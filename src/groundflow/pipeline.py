@@ -110,30 +110,30 @@ def fit_scene_offsets(frames: list[list[Detection]], grid: GroundGrid,
 def _chain_tracker(frames: list[list[Detection]], matcher) -> list[Trajectory]:
     """Frame-to-frame chaining of pair matches into trajectories.
 
-    `matcher(dets_t, dets_t1)` returns (i, j) index pairs. If several
-    chains claim one target, the first source in index order wins and
-    the rest terminate (relevant for the nearest baseline, which allows
+    For each frame pair, `matcher(dist)` takes the (n, m) matrix of
+    ground-plane distances from the n detections of frame t to the m of
+    frame t + 1 and returns (i, j) index pairs. Each frame keeps one
+    list from its detections to their tracks. If several chains claim
+    one target, the first source in index order wins and the rest
+    terminate (relevant for the nearest baseline, which allows
     many-to-one matches).
     """
     tracks: list[list[tuple[int, float, float]]] = []
-    head: dict[int, int] = {}  # detection index in current frame -> track index
-    next_frame_head: dict[int, int] = {}
+    owner = [-1] * len(frames[0]) if frames else []   # detection -> track, -1 if unclaimed
     for t, dets in enumerate(frames):
         for j, d in enumerate(dets):
-            if j in next_frame_head:
-                tracks[next_frame_head[j]].append((d.time, d.x, d.y))
-            else:
-                next_frame_head[j] = len(tracks)
-                tracks.append([(d.time, d.x, d.y)])
-        head = next_frame_head
-        next_frame_head = {}
-        if t + 1 < len(frames) and dets:
-            claimed: set[int] = set()
-            for i, j in matcher(dets, frames[t + 1]):
-                if j in claimed or i not in head:
-                    continue
-                claimed.add(j)
-                next_frame_head[j] = head[i]
+            if owner[j] < 0:
+                owner[j] = len(tracks)
+                tracks.append([])
+            tracks[owner[j]].append((d.time, d.x, d.y))
+        if t + 1 < len(frames):
+            nxt = frames[t + 1]
+            head, owner = owner, [-1] * len(nxt)
+            if dets:
+                dist = np.array([[math.hypot(a.x - b.x, a.y - b.y) for b in nxt] for a in dets])
+                for i, j in matcher(dist):
+                    if owner[j] < 0:
+                        owner[j] = head[i]
     return [Trajectory(k, tuple(pts)) for k, pts in enumerate(tracks)]
 
 
@@ -153,9 +153,9 @@ def track_detections(frames: list[list[Detection]], mode: str,
     if mode not in TRACK_MODES:
         raise ConfigError(f"unknown tracking mode {mode!r}; choose from {TRACK_MODES}")
     if mode == "nearest":
-        return _chain_tracker(frames, lambda a, b: associate_nearest(a, b, CHAIN_MAX_DIST))
+        return _chain_tracker(frames, lambda dist: associate_nearest(dist, CHAIN_MAX_DIST))
     if mode == "hungarian":
-        return _chain_tracker(frames, lambda a, b: associate_hungarian(a, b, cutoff=CHAIN_MAX_DIST))
+        return _chain_tracker(frames, lambda dist: associate_hungarian(dist, CHAIN_MAX_DIST))
     bwd_fields = fwd_fields = None
     if fit_results is not None:
         fwd_fields = [r.fwd for r in fit_results]

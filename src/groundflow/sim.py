@@ -63,7 +63,7 @@ class SceneConfig:
             raise ConfigError("speed range must satisfy 0 <= min <= max")
         if not (0 <= self.miss_rate < 1):
             raise ConfigError("miss_rate must lie in [0, 1)")
-        if self.fp_rate_per_frame < 0 or self.jitter_sigma_cells < 0:
+        if not (self.fp_rate_per_frame >= 0 and self.jitter_sigma_cells >= 0):
             raise ConfigError("noise rates must be nonnegative")
         if self.fp_rate_per_frame > rng.POISSON_MAX_RATE:
             raise ConfigError(f"fp_rate_per_frame must be <= {rng.POISSON_MAX_RATE}")

@@ -2,11 +2,17 @@
 baselines (greedy nearest, Hungarian bipartite, and two-stage
 ground-plane-IoU association with Kalman or learned motion).
 
-The flow tracker scores every detection with entry, observation and
-exit costs (the observation cost is negative and rewards confident
-detections) and joins detections up to `max_gap` frames apart, and
-within reach (`gate_cells` cells per frame of gap; off by default), by
-motion-aware transition costs. Every arc cost is negative, so without
+Every association is one call on a cost matrix. The online matchers
+(`associate_nearest`, `associate_hungarian`) take an (n, m) matrix whose
+rows are the earlier frame's detections or tracks and whose columns are
+the later frame's detections; their callers state the cost: ground-plane
+distance for the chaining baselines, 1 - IoU for the two-stage tracker.
+
+The flow tracker charges every track one entry and one exit cost, kept
+only in the graph's `EdgeCostParams`, and every detection an observation
+cost (negative; it rewards confident detections). It joins detections
+up to `max_gap` frames apart, and within reach (`gate_cells` cells per
+frame of gap; off by default), by motion-aware transition costs. Every arc cost is negative, so without
 the gate any link within `max_gap`, however far, beats paying exit +
 entry. In this time-ordered graph a set of vertex-disjoint tracks is a
 bipartite matching of detections as predecessors to detections as
@@ -58,7 +64,7 @@ class EdgeCostParams:
         if self.max_gap < 1:
             raise ValueError("max_gap must be >= 1")
         for name in ("sigma_t", "sigma_d", "sigma_m", "entry_cost", "exit_cost"):
-            if getattr(self, name) < 0:
+            if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("obs_cost_scale", "gate_cells"):
             if not (getattr(self, name) > 0):
@@ -67,17 +73,15 @@ class EdgeCostParams:
 
 @dataclass
 class TrackingGraph:
-    """Detections with their entry/observation/exit costs and
-    transition arcs.
+    """Detections with their observation costs and transition arcs.
 
-    Arc k joins detection heads[k] to the later detection tails[k] at
-    cost trans[k]; the arcs are sorted by (head, tail) and unique, so
-    len(trans) is the arc count.
+    Detection i costs obs[i]; every track also pays params.entry_cost
+    and params.exit_cost once. Arc k joins detection heads[k] to the
+    later detection tails[k] at cost trans[k]; the arcs are sorted by
+    (head, tail) and unique, so len(trans) is the arc count.
     """
 
     detections: tuple
-    entry: np.ndarray
-    exit: np.ndarray
     obs: np.ndarray
     heads: np.ndarray    # int64
     tails: np.ndarray    # int64, time of tails[k] > time of heads[k]
@@ -116,8 +120,6 @@ def build_graph(detections, bwd_fields, p: EdgeCostParams) -> TrackingGraph:
     """
     dets = _flatten(detections)
     n = len(dets)
-    entry = np.full(n, p.entry_cost)
-    exit_ = np.full(n, p.exit_cost)
     obs = np.array([-p.obs_cost_scale * d.confidence for d in dets])
     times = np.array([d.time for d in dets], dtype=np.int64)
     xs = np.array([d.x for d in dets], dtype=np.float64)
@@ -151,8 +153,7 @@ def build_graph(detections, bwd_fields, p: EdgeCostParams) -> TrackingGraph:
         heads.append(np.repeat(np.arange(s, e, dtype=np.int64), np.count_nonzero(keep, axis=1)))
         tails.append(np.broadcast_to(np.arange(e, hi, dtype=np.int64), keep.shape)[keep])
         trans.append(cost[keep])
-    return TrackingGraph(tuple(dets), entry, exit_, obs, _drain(heads), _drain(tails),
-                         _drain(trans), p)
+    return TrackingGraph(tuple(dets), obs, _drain(heads), _drain(tails), _drain(trans), p)
 
 
 def _drain(blocks: list) -> np.ndarray:
@@ -182,12 +183,12 @@ def cover_cost(g: TrackingGraph, tracks: list[list[int]]) -> float:
     link = iter(g.trans[pos].tolist())
     total = 0.0
     for track in tracks:
-        total += g.entry[track[0]]
+        total += g.params.entry_cost
         total += g.obs[track[0]]
         for b in track[1:]:
             total += next(link)
             total += g.obs[b]
-        total += g.exit[track[-1]]
+        total += g.params.exit_cost
     return float(total)
 
 
@@ -216,9 +217,10 @@ def _assignment_matrix(g: TrackingGraph) -> csr_matrix:
     first, last = indptr[:-1], indptr[1:] - 1
     is_arc = np.ones(indptr[-1], dtype=bool)
     is_arc[first] = is_arc[last] = False
-    link = g.trans - g.exit[g.heads]
-    link -= g.entry[g.tails]
-    unused = -(g.entry + g.obs + g.exit)
+    entry, exit_ = g.params.entry_cost, g.params.exit_cost
+    link = g.trans - exit_
+    link -= entry
+    unused = -(entry + g.obs + exit_)
     shift = 1.0 - min(float(link.min(initial=0.0)), float(unused.min()))
     link += shift
     data = np.empty(indptr[-1])
@@ -239,7 +241,7 @@ def solve_ssp_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
     Rows are detections as predecessors. Column j < n is detection j as
     a successor and column n + i is row i's exit. Counting every
     detection first as a one-point track (entry + obs + exit), a link
-    i -> j changes the cost by trans - exit_i - entry_j, and row i on its
+    i -> j changes the cost by (trans - exit) - entry, and row i on its
     own column leaves detection i unused (-(entry + obs + exit)). Every
     row is matched once, so one constant shift that makes all weights
     positive leaves the optimum unchanged. LAPJVsp solves the sparse
@@ -277,16 +279,16 @@ def brute_force_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
         raise InstanceTooLarge(f"brute force limited to 10 detections, got {n}")
     if n == 0:
         return [], 0.0
-    entry, exit_, obs = g.entry, g.exit, g.obs
+    entry, exit_, obs = g.params.entry_cost, g.params.exit_cost, g.obs
     trans = dict(zip(zip(g.heads.tolist(), g.tails.tolist()), g.trans.tolist()))
     from functools import lru_cache
 
     @lru_cache(maxsize=None)
     def best(k: int, tails: frozenset) -> float:
         if k == n:
-            return float(sum(exit_[t] for t in sorted(tails)))
+            return float(sum(exit_ for _ in tails))
         b = best(k + 1, tails)  # leave detection k unused
-        b = min(b, float(entry[k] + obs[k]) + best(k + 1, tails | {k}))
+        b = min(b, float(entry + obs[k]) + best(k + 1, tails | {k}))
         for t in sorted(tails):
             if (t, k) in trans:
                 b = min(b, float(trans[(t, k)] + obs[k]) + best(k + 1, (tails - {t}) | {k}))
@@ -300,7 +302,7 @@ def brute_force_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
         target = best(k, tails)
         if target == best(k + 1, tails):
             continue
-        if target == float(entry[k] + obs[k]) + best(k + 1, tails | {k}):
+        if target == float(entry + obs[k]) + best(k + 1, tails | {k}):
             tail_to_track[k] = len(tracks)
             tracks.append([k])
             tails = tails | {k}
@@ -317,35 +319,28 @@ def brute_force_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
     return tracks, cover_cost(g, tracks)
 
 
-def associate_nearest(dets_t, dets_t1, max_dist: float) -> list[tuple[int, int]]:
-    """Greedy nearest-target mapping; many-to-one is allowed by design."""
-    matches = []
-    for i, d in enumerate(dets_t):
-        best_j = -1
-        best_d = math.inf
-        for j, e in enumerate(dets_t1):
-            dist = math.hypot(d.x - e.x, d.y - e.y)
-            if dist <= max_dist and dist < best_d:
-                best_d = dist
-                best_j = j
-        if best_j >= 0:
-            matches.append((i, best_j))
-    return matches
+def associate_nearest(cost: np.ndarray, max_dist: float) -> list[tuple[int, int]]:
+    """Greedy nearest-target mapping on an (n, m) cost matrix: row i takes
+    the first column of least cost, if that cost is <= max_dist. Many rows
+    may take one column."""
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.size == 0:
+        return []
+    best = cost.argmin(axis=1)
+    rows = np.flatnonzero(cost[np.arange(len(cost)), best] <= max_dist)
+    return list(zip(rows.tolist(), best[rows].tolist()))
 
 
 _FORBIDDEN = 1e9
 
 
-def associate_hungarian(dets_t, dets_t1, cost: np.ndarray | None = None,
-                        cutoff: float = math.inf) -> list[tuple[int, int]]:
-    """Minimum-cost one-to-one matching; pairs beyond `cutoff` are forbidden."""
-    n, m = len(dets_t), len(dets_t1)
-    if n == 0 or m == 0:
-        return []
-    if cost is None:
-        cost = np.array([[math.hypot(a.x - b.x, a.y - b.y) for b in dets_t1]
-                         for a in dets_t])
+def associate_hungarian(cost: np.ndarray, cutoff: float = math.inf) -> list[tuple[int, int]]:
+    """Minimum-cost one-to-one matching on an (n, m) cost matrix; pairs
+    costing more than `cutoff` are forbidden. Returns (row, column) pairs
+    in row order."""
     cost = np.asarray(cost, dtype=np.float64)
+    if cost.size == 0:
+        return []
     work = np.where(cost > cutoff, _FORBIDDEN, cost)
     rows, cols = linear_sum_assignment(work)
     keep = cost[rows, cols] <= cutoff
@@ -470,8 +465,7 @@ def run_two_stage(frames: list[list[Detection]], motion_source: str,
             rows = np.flatnonzero(match < 0)
             if len(rows) and len(cand):
                 cost = _square_iou_cost(pred[rows], xy[cand], cfg.box_side)
-                pairs = associate_hungarian(rows, cand, cost=cost,
-                                            cutoff=1.0 - cfg.iou_threshold)
+                pairs = associate_hungarian(cost, 1.0 - cfg.iou_threshold)
                 a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
                 match[rows[a]] = cand[b]
 

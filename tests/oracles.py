@@ -2,7 +2,8 @@
 arc and the offset sampled at one point, which `build_graph` is checked
 against; the Kalman steps of one filter state, which the batched steps
 of `groundflow.track` are checked against; the IoU of one pair of
-squares; the value of each loss term alone; the offset gradient of one
+squares; the nearest-target matches of one cost matrix, entry by
+entry; the value of each loss term alone; the offset gradient of one
 reconstruction; and the trajectory CSV reader."""
 import math
 
@@ -58,6 +59,20 @@ def edge_cost(i_pos, j_pos, t1: int, t2: int, delta_bwd_at_j, p: EdgeCostParams)
     dm = math.hypot(i_pos[0] - pred_x, i_pos[1] - pred_y)
     return -(math.exp(-p.sigma_t * (gap - 1)) * math.exp(-p.sigma_d * d)
              * math.exp(-p.sigma_m * dm))
+
+
+def nearest_matches(cost, max_dist: float) -> list[tuple[int, int]]:
+    """Each row's first column of least cost, if that cost is <= max_dist,
+    found one entry at a time."""
+    matches = []
+    for i, row in enumerate(cost):
+        best_j, best = -1, math.inf
+        for j, c in enumerate(row):
+            if c <= max_dist and c < best:
+                best_j, best = j, c
+        if best_j >= 0:
+            matches.append((i, best_j))
+    return matches
 
 
 def kalman_predict(mean, cov, process_noise=PROCESS_NOISE):

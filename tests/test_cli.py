@@ -329,7 +329,8 @@ class TestFitTrack:
     @pytest.mark.parametrize("row", [
         "-1,-1,5.0,5.0,0.9", "6,-1,5.0,5.0,0.9",              # times outside the 6 frames
         "2,-1,abc,5.0,0.9", "2,-1,5.0", "2,-1,5.0,5.0,nan",
-    ], ids=["time_-1", "time_6", "abc_x", "three_fields", "nan_conf"])
+        "2,-1,-40.0,5.0,0.9", "2,-1,28.0,5.0,0.9", "2,-1,5.0,-0.01,0.9",  # off the 28 x 28 grid
+    ], ids=["time_-1", "time_6", "abc_x", "three_fields", "nan_conf", "x_-40", "x_28", "y_-0.01"])
     @pytest.mark.parametrize("command", [("fit",), ("track", "--mode", "mussp")],
                              ids=["fit", "track"])
     def test_malformed_detection_row_is_format_error(self, tiny_cfg, tmp_path, capsys,

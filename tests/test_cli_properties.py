@@ -149,6 +149,7 @@ fit.epochs = 3
 fit.window = 15
 """
 NUM_FRAMES = 6
+SIZE = 28   # TINY's width and height
 
 
 @pytest.fixture(scope="module")
@@ -172,9 +173,9 @@ def _run_into(argv, out) -> int:
 @st.composite
 def mangled_rows(draw, row: list[str]):
     """`row` mangled, and whether the result still is a valid row: a
-    field dropped, a field that is no number, a non-finite field or
-    another time."""
-    kind = draw(st.sampled_from(["drop", "word", "non_finite", "time"]))
+    field dropped, a field that is no number, a non-finite field, another
+    time or another x or y."""
+    kind = draw(st.sampled_from(["drop", "word", "non_finite", "time", "position"]))
     field = draw(st.integers(0, 4))
     row = list(row)
     if kind == "drop":
@@ -183,10 +184,14 @@ def mangled_rows(draw, row: list[str]):
         row[field] = draw(st.sampled_from(["abc", "", "1e", "0x1"]))
     elif kind == "non_finite":
         row[field] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]))
-    else:
+    elif kind == "time":
         t = draw(st.integers(-3, NUM_FRAMES + 3))
         row[0] = str(t)
         return ",".join(row), 0 <= t < NUM_FRAMES
+    else:
+        v = draw(st.floats(-3, SIZE + 3))
+        row[draw(st.sampled_from([2, 3]))] = repr(v)
+        return ",".join(row), 0 <= v < SIZE
     return ",".join(row), False
 
 

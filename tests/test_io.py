@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from groundflow import io
-from groundflow.core import Detection, Trajectory
+from groundflow.core import Detection, GroundGrid, Trajectory
 from groundflow.errors import FormatError
 from oracles import load_trajectories
+
+GRID = GroundGrid(8, 6)
 
 
 class TestMapsContainer:
@@ -54,7 +56,7 @@ class TestCsv:
         path = tmp_path / "dets.csv"
         io.save_detections(path, frames)
         assert path.read_text().splitlines()[0] == "time,id,x,y,confidence"
-        loaded = io.load_detections(path, 3)
+        loaded = io.load_detections(path, 3, GRID)
         assert len(loaded) == 3
         assert loaded[0][0] == frames[0][0]
         assert loaded[2][0].x == 0.1234567890123  # repr round-trips exactly
@@ -77,24 +79,25 @@ class TestCsv:
         path = tmp_path / "x.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(FormatError):
-            io.load_detections(path, 4)
+            io.load_detections(path, 4, GRID)
 
     def test_detections_fill_every_frame_of_the_scene(self, tmp_path):
         path = tmp_path / "dets.csv"
         io.save_detections(path, [[], [Detection(1, 1.0, 2.0, 0.5)]])
-        assert io.load_detections(path, 4) == [[], [Detection(1, 1.0, 2.0, 0.5)], [], []]
+        assert io.load_detections(path, 4, GRID) == [[], [Detection(1, 1.0, 2.0, 0.5)], [], []]
 
     @pytest.mark.parametrize("row", [
         "-1,-1,1.0,1.0,0.5", "4,-1,1.0,1.0,0.5",           # time outside the 4 frames
         "1,-1,1.0,0.5", "1,-1,1.0,1.0,0.5,7",               # four or six fields
         "1,-1,abc,1.0,0.5", "1.5,-1,1.0,1.0,0.5", "1,x,1.0,1.0,0.5",
         "1,-1,nan,1.0,0.5", "1,-1,1.0,-inf,0.5", "1,-1,1.0,1.0,nan", "1,-1,1.0,1.0,1e999",
+        "1,-1,-40.0,1.0,0.5", "1,-1,8.0,1.0,0.5", "1,-1,1.0,-0.01,0.5", "1,-1,1.0,6.0,0.5",
     ])
     def test_malformed_detection_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "dets.csv"
         path.write_text(f"time,id,x,y,confidence\n0,-1,1.0,1.0,0.5\n\n{row}\n")
         with pytest.raises(FormatError, match=rf"dets\.csv, line 4: "):
-            io.load_detections(path, 4)
+            io.load_detections(path, 4, GRID)
 
 
 class TestKvConfig:

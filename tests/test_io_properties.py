@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from groundflow import io  # noqa: E402
-from groundflow.core import Detection, Trajectory  # noqa: E402
+from groundflow.core import Detection, GroundGrid, Trajectory  # noqa: E402
 from oracles import load_trajectories  # noqa: E402
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -36,13 +36,15 @@ def test_maps_round_trip_float32_values(tmp_path_factory, channels):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(counts=st.lists(st.integers(0, 3), max_size=6), data=st.data())
-def test_detections_round_trip(tmp_path_factory, counts, data):
-    frames = [[Detection(t, data.draw(finite), data.draw(finite), data.draw(finite))
+@given(counts=st.lists(st.integers(0, 3), max_size=6), w=st.integers(1, 40),
+       h=st.integers(1, 40), data=st.data())
+def test_detections_round_trip(tmp_path_factory, counts, w, h, data):
+    xs, ys = st.floats(0, w, exclude_max=True), st.floats(0, h, exclude_max=True)
+    frames = [[Detection(t, data.draw(xs), data.draw(ys), data.draw(finite))
                for _ in range(k)] for t, k in enumerate(counts)]
     path = tmp_path_factory.mktemp("dets") / "dets.csv"
     io.save_detections(path, frames)
-    assert io.load_detections(path, len(frames)) == frames
+    assert io.load_detections(path, len(frames), GroundGrid(w, h)) == frames
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

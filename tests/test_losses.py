@@ -178,6 +178,11 @@ class TestLossWeights:
         with pytest.raises(ValueError):
             LossWeights(lambda_fb=-0.1)
 
+    @pytest.mark.parametrize("name", ["lambda_fb", "lambda_se"])
+    def test_rejects_nan(self, name):
+        with pytest.raises(ValueError):
+            LossWeights(**{name: float("nan")})
+
 
 class TestLossTotal:
     def _random_instance(self, seed):

@@ -1,6 +1,6 @@
 """Every top-level function and class of the package, public or private, is
 reached by other program code, or is a named test oracle; every config key
-sets a field that the program reads.
+sets a field that the program reads, and so does every dataclass field.
 
 A name counts as reached when it occurs as a name token in the code of
 ``src/groundflow`` (outside ``__init__.py``) or ``bench/*.py`` other than
@@ -101,4 +101,23 @@ def test_every_config_key_sets_a_field_that_the_program_reads():
         cls = type(reduce(getattr, parents, ExperimentConfig())).__name__
         if not any(attr == name and where != cls for attr, where in reads):
             unread.append(key)
+    assert unread == []
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each field of each dataclass defined in `source`."""
+    return [(cls.name, node.target.id)
+            for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+            and any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    # a field that only its own class's validation reads holds nothing
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    bench = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    reads = set().union(*map(attribute_reads, sources + bench))
+    unread = [f"{cls}.{name}" for s in sources for cls, name in dataclass_fields(s)
+              if not any(attr == name and where != cls for attr, where in reads)]
     assert unread == []

@@ -37,6 +37,11 @@ class TestSceneConfig:
         with pytest.raises(ConfigError):
             _cfg(fp_rate_per_frame=746.0)  # beyond rng.POISSON_MAX_RATE
 
+    @pytest.mark.parametrize("name", ["fp_rate_per_frame", "jitter_sigma_cells"])
+    def test_nan_noise_rate_is_config_error(self, name):
+        with pytest.raises(ConfigError):
+            _cfg(**{name: float("nan")})
+
 
 class TestPoisson:
     def test_rate_limit(self):

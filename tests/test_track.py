@@ -123,6 +123,11 @@ class TestBuildGraph:
                                         load_experiment_config(None).fit)
         assert seen == [16.0, 48.0]
 
+    @pytest.mark.parametrize("name", ["sigma_t", "sigma_d", "sigma_m", "entry_cost", "exit_cost"])
+    def test_nan_cost_parameter_is_rejected(self, name):
+        with pytest.raises(ValueError):
+            EdgeCostParams(**{name: float("nan")})
+
     def test_gate_must_be_positive(self):
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
@@ -133,13 +138,12 @@ def _crossing_graph():
     """2x2 scenario: straight links cost -0.9, crossing links -0.5."""
     dets = (Detection(0, 0.0, 0.0, 0.9), Detection(0, 10.0, 0.0, 0.9),
             Detection(1, 1.0, 0.0, 0.9), Detection(1, 11.0, 0.0, 0.9))
-    entry = np.full(4, 0.1)
-    exit_ = np.full(4, 0.1)
     obs = np.full(4, -0.3)
     heads = np.array([0, 0, 1, 1])
     tails = np.array([2, 3, 2, 3])
     trans = np.array([-0.9, -0.5, -0.5, -0.9])
-    return TrackingGraph(dets, entry, exit_, obs, heads, tails, trans, EdgeCostParams())
+    return TrackingGraph(dets, obs, heads, tails, trans,
+                         EdgeCostParams(entry_cost=0.1, exit_cost=0.1))
 
 
 class TestSolveSsp:
@@ -255,58 +259,47 @@ class TestBruteForce:
 
 
 class TestAssociateNearest:
-    def _d(self, t, x, y=0.0):
-        return Detection(t, x, y, 0.9)
-
     def test_disjoint_clusters(self):
-        a = [self._d(0, 0.0), self._d(0, 10.0)]
-        b = [self._d(1, 0.5), self._d(1, 10.5)]
-        assert associate_nearest(a, b, 3.0) == [(0, 0), (1, 1)]
+        cost = np.array([[0.5, 10.5], [9.5, 0.5]])
+        assert associate_nearest(cost, 3.0) == [(0, 0), (1, 1)]
 
     def test_many_to_one_allowed(self):
-        a = [self._d(0, 0.0), self._d(0, 1.0)]
-        b = [self._d(1, 0.5)]
-        assert associate_nearest(a, b, 3.0) == [(0, 0), (1, 0)]
+        cost = np.array([[0.5], [0.5]])
+        assert associate_nearest(cost, 3.0) == [(0, 0), (1, 0)]
 
     def test_out_of_range_unmatched(self):
-        a = [self._d(0, 0.0)]
-        b = [self._d(1, 50.0)]
-        assert associate_nearest(a, b, 3.0) == []
+        assert associate_nearest(np.array([[50.0]]), 3.0) == []
 
 
 class TestAssociateHungarian:
-    def _d(self, t, x, y=0.0):
-        return Detection(t, x, y, 0.9)
-
     def test_exhaustive_2x2(self):
         cost = np.array([[1.0, 2.0], [2.0, 1.0]])
-        m = associate_hungarian([self._d(0, 0)] * 2, [self._d(1, 0)] * 2, cost=cost)
+        m = associate_hungarian(cost)
         assert m == [(0, 0), (1, 1)]
         assert sum(cost[r, c] for r, c in m) == 2.0
 
     def test_tie_break_smallest_row_col(self):
-        cost = np.ones((2, 2))
-        m = associate_hungarian([self._d(0, 0)] * 2, [self._d(1, 0)] * 2, cost=cost)
-        assert m == [(0, 0), (1, 1)]
+        assert associate_hungarian(np.ones((2, 2))) == [(0, 0), (1, 1)]
 
     def test_all_beyond_cutoff(self):
-        cost = np.full((2, 2), 9.0)
-        m = associate_hungarian([self._d(0, 0)] * 2, [self._d(1, 0)] * 2,
-                                cost=cost, cutoff=5.0)
-        assert m == []
+        assert associate_hungarian(np.full((2, 2), 9.0), cutoff=5.0) == []
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             cost = rng.random((4, 5)) * 10
-            m1 = associate_hungarian([self._d(0, 0)] * 4, [self._d(1, 0)] * 5, cost=cost)
-            m2 = associate_hungarian([self._d(0, 0)] * 4, [self._d(1, 0)] * 5, cost=cost + 7.5)
-            assert m1 == m2
+            assert associate_hungarian(cost) == associate_hungarian(cost + 7.5)
 
     def test_default_cost_is_distance(self):
-        a = [self._d(0, 0.0), self._d(0, 10.0)]
-        b = [self._d(1, 9.5), self._d(1, 0.5)]
-        assert associate_hungarian(a, b, cutoff=2.0) == [(0, 1), (1, 0)]
+        # the hungarian baseline matches on ground-plane distance: the
+        # crossing pairs are nearer, and farther than CHAIN_MAX_DIST never links
+        frames = [[Detection(0, 0.0, 0.0, 0.9), Detection(0, 10.0, 0.0, 0.9)],
+                  [Detection(1, 9.5, 0.0, 0.9), Detection(1, 0.5, 0.0, 0.9)],
+                  [Detection(2, 30.0, 0.0, 0.9)]]
+        tracks = pipeline.track_detections(frames, "hungarian")
+        assert [tr.points for tr in tracks] == [((0, 0.0, 0.0), (1, 0.5, 0.0)),
+                                                ((0, 10.0, 0.0), (1, 9.5, 0.0)),
+                                                ((2, 30.0, 0.0),)]
 
 
 class TestKalman:

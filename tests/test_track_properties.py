@@ -1,8 +1,10 @@
 """Property-based checks of the vectorized graph build against the
 per-arc definition of the transition cost and the reach gate, of the
 solver's assignment matrix against scipy's triplet build, of the
-batched Kalman steps against the steps of one filter state, and of the
-two-stage trackers' high-confidence set against the noise split."""
+matrix matchers against entry-by-entry and exhaustive references, of
+the batched Kalman steps against the steps of one filter state, and of
+the two-stage trackers' high-confidence set against the noise split."""
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -19,13 +21,21 @@ from groundflow.core import Detection, GroundGrid, OffsetField  # noqa: E402
 from groundflow.pipeline import filter_noise_detections, track_detections  # noqa: E402
 from groundflow.track import (  # noqa: E402
     EdgeCostParams,
+    associate_hungarian,
+    associate_nearest,
     brute_force_detailed,
     build_graph,
     kalman_predict_batch,
     kalman_update_batch,
     solve_ssp_detailed,
 )
-from oracles import edge_cost, kalman_predict, kalman_update, sample_offset  # noqa: E402
+from oracles import (  # noqa: E402
+    edge_cost,
+    kalman_predict,
+    kalman_update,
+    nearest_matches,
+    sample_offset,
+)
 
 SIZE = 12
 # reach per frame of gap: off, or short enough to cut arcs in a SIZE scene
@@ -158,8 +168,8 @@ def _triplet_matrix(g):
     which scipy sorts into column order within each row."""
     n = len(g.detections)
     ar = np.arange(n)
-    wts = np.concatenate([g.trans - g.exit[g.heads] - g.entry[g.tails],
-                          -(g.entry + g.obs + g.exit), np.zeros(n)])
+    entry, exit_ = g.params.entry_cost, g.params.exit_cost
+    wts = np.concatenate([g.trans - exit_ - entry, -(entry + g.obs + exit_), np.zeros(n)])
     return coo_matrix((wts + (1.0 - wts.min()),
                        (np.concatenate([g.heads, ar, ar]), np.concatenate([g.tails, ar, n + ar]))),
                       shape=(n, 2 * n)).tocsr()
@@ -193,6 +203,57 @@ def test_solver_matrix_is_the_triplet_matrix(seed, per_frame, max_gap, gate):
     assert got.shape == want.shape
     for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
         assert _same_bits(a, b)
+
+
+@st.composite
+def matrices(draw, elements, max_side: int) -> np.ndarray:
+    """An (n, m) float matrix, n and m in 0..max_side, each entry drawn alone."""
+    n, m = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    return np.array([[draw(elements) for _ in range(m)] for _ in range(n)]).reshape(n, m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cost=matrices(st.sampled_from([0.0, 1.0, 2.0, 3.0]), 6),
+       max_dist=st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0]))
+def test_nearest_is_the_first_minimum_within_reach(cost, max_dist):
+    # integer costs tie often, so the first-minimum rule is exercised
+    assert associate_nearest(cost, max_dist) == nearest_matches(cost, max_dist)
+
+
+def _brute_force_matching(cost, cutoff) -> tuple[int, float]:
+    """(pairs, total cost) of the cheapest of the one-to-one matchings
+    within the cutoff that have the most pairs, by enumeration."""
+    n, m = cost.shape
+    best = (0, 0.0)   # (-pairs, total): the empty matching
+    for cols in itertools.product(range(-1, m), repeat=n):
+        pairs = [(i, j) for i, j in enumerate(cols) if j >= 0]
+        if len({j for _, j in pairs}) == len(pairs) and all(cost[p] <= cutoff for p in pairs):
+            best = min(best, (-len(pairs), sum(cost[p] for p in pairs)))
+    return -best[0], best[1]
+
+
+# whole-number costs tie often, with each other and with the cutoff
+costs = st.one_of(st.sampled_from([float(k) for k in range(11)]), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cost=matrices(costs, 4), cutoff=st.one_of(st.just(math.inf), costs))
+def test_hungarian_is_the_cheapest_largest_matching(cost, cutoff):
+    pairs = associate_hungarian(cost, cutoff)
+    assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+    assert all(cost[p] <= cutoff for p in pairs)
+    count, total = _brute_force_matching(cost, cutoff)
+    assert len(pairs) == count
+    # a forbidden pair costs 1e9 inside the solver, so totals agree to its ulp
+    assert math.isclose(sum(cost[p] for p in pairs), total, abs_tol=1e-6)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(side=st.integers(0, 5), rows_empty=st.booleans())
+def test_empty_matrices_match_nothing(side, rows_empty):
+    cost = np.zeros((0, side) if rows_empty else (side, 0))
+    assert associate_nearest(cost, 1.0) == []
+    assert associate_hungarian(cost) == []
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
