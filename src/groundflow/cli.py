@@ -265,6 +265,16 @@ def load_fields(path, grid: GroundGrid) -> list[OffsetField]:
             for k in range(len(channels) // 2)]
 
 
+def _fit(scene: SceneConfig, detections, fit_cfg: FitConfig, stride: int,
+         workers: int) -> list[FitResult]:
+    """The offset fields of each frame pair of `detections`, the stride-th
+    frames of `scene`, fitted by `workers` processes with the schedule
+    softened for the stride."""
+    return fit_scene_offsets(detections, scene.grid, stride_adapted(fit_cfg, stride),
+                             scene.gaussian_sigma_cells, scene.gaussian_radius_cells,
+                             workers=workers)
+
+
 def cmd_fit(args) -> int:
     workers = _workers()
     cfg, truth, detections = load_scene_dir(args.scene, args.stride, args.config)
@@ -273,11 +283,7 @@ def cmd_fit(args) -> int:
         return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = fit_scene_offsets(detections, cfg.scene.grid,
-                                stride_adapted(cfg.fit, args.stride),
-                                cfg.scene.gaussian_sigma_cells,
-                                cfg.scene.gaussian_radius_cells,
-                                workers=workers)
+    results = _fit(cfg.scene, detections, cfg.fit, args.stride, workers)
     _save_fields(out / "offsets_fwd.bin", [r.fwd for r in results])
     _save_fields(out / "offsets_bwd.bin", [r.bwd for r in results])
     traces = out / "traces"
@@ -380,34 +386,33 @@ def _svg_line_plot(series: dict[str, list[tuple[float, float]]],
     return "\n".join(parts) + "\n"
 
 
-def _sweep_one(cfg: ExperimentConfig, stride: int, seed: int, workers: int):
+def _scene(cfg: ExperimentConfig, seed: int):
+    """The scene of `seed`, its simulated truth and its detections."""
     scene = replace(cfg.scene, seed=seed)
     truth = generate_scene(scene)
-    detections = corrupt_detections(truth)
-    sub_dets = subsample_fps(detections, stride)
+    return scene, truth, corrupt_detections(truth)
+
+
+def _sweep_points(cfg: ExperimentConfig, scene: SceneConfig, truth, detections,
+                  stride: int, workers: int) -> list:
+    """The point of each of `cfg.modes` on one simulated scene at `stride`.
+    The modes that read offsets share one fit of the stride's frames."""
     fit_results = None
     if any(m in FIT_MODES for m in cfg.modes):
-        fit_results = fit_scene_offsets(sub_dets, scene.grid,
-                                        stride_adapted(cfg.fit, stride),
-                                        scene.gaussian_sigma_cells,
-                                        scene.gaussian_radius_cells,
-                                        workers=workers)
-    rows = []
-    for mode in cfg.modes:
-        point, _ = run_tracking_point(
-            scene, stride, mode, cfg.fit, cfg.edges, cfg.two_stage,
-            cfg.dist_threshold, truth=truth, detections=detections,
-            fit_results=fit_results,
-        )
-        rows.append(point)
-    return rows
+        fit_results = _fit(scene, subsample_fps(detections, stride), cfg.fit, stride, workers)
+    return [run_tracking_point(scene, stride, mode, cfg.fit, cfg.edges, cfg.two_stage,
+                               cfg.dist_threshold, truth=truth, detections=detections,
+                               fit_results=fit_results)[0]
+            for mode in cfg.modes]
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int = 1):
-    """Every (stride, seed) point in turn; each point's frame pairs are
-    fitted by `workers` processes."""
-    points = [p for stride in cfg.fps_strides for seed in cfg.seeds
-              for p in _sweep_one(cfg, stride, seed, workers)]
+    """Every (stride, seed) point, sorted by stride, mode and seed. Each
+    seed's scene is simulated once and serves every stride; each point's
+    frame pairs are fitted by `workers` processes."""
+    scenes = [_scene(cfg, seed) for seed in cfg.seeds]
+    points = [p for stride in cfg.fps_strides for scene in scenes
+              for p in _sweep_points(cfg, *scene, stride, workers)]
     points.sort(key=lambda p: (p.stride, p.mode, p.seed))
     return points
 
@@ -463,6 +468,8 @@ def offsets_off_grid_lines(rng: np.random.Generator, shape, sigma: float,
 def cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, not {args.instances}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, not {args.seed}")
     rng = np.random.default_rng(args.seed)
     weights = LossWeights()
     worst = 0.0
@@ -497,41 +504,10 @@ def cmd_gradcheck(args) -> int:
 
 # ---------------------------------------------------------------- ablate
 
-FIT_ARMS = ("full", "mot_only", "no_se", "no_fb", "no_mot")
-
-
-def _arm_fit_cfg(fit_cfg: FitConfig, arm: str) -> FitConfig | None:
-    if arm == "full":
-        return fit_cfg
-    if arm == "mot_only":
-        return replace(fit_cfg, weights=LossWeights(0.0, 0.0))
-    if arm == "no_se":
-        return replace(fit_cfg, weights=replace(fit_cfg.weights, lambda_se=0.0))
-    if arm == "no_fb":
-        return replace(fit_cfg, weights=replace(fit_cfg.weights, lambda_fb=0.0))
-    return None  # no_mot: without the consistency term nothing moves off zero
-
-
-def run_fit_ablation(cfg: ExperimentConfig, arms=FIT_ARMS, workers: int = 1):
-    """Offset quality per loss arm and seed; each fit's frame pairs are
-    fitted by `workers` processes."""
-    rows = []
-    for seed in cfg.seeds:
-        scene = replace(cfg.scene, seed=seed)
-        truth = generate_scene(scene)
-        detections = corrupt_detections(truth)
-        for arm in arms:
-            arm_cfg = _arm_fit_cfg(cfg.fit, arm)
-            if arm_cfg is None:
-                report = zero_offset_report(truth)
-            else:
-                results = fit_scene_offsets(detections, scene.grid, arm_cfg,
-                                            scene.gaussian_sigma_cells,
-                                            scene.gaussian_radius_cells,
-                                            workers=workers)
-                report = fit_report_vs_truth(results, truth)
-            rows.append((arm, seed, report))
-    return rows
+# Each loss-term arm and the LossWeights fields it sets to zero. no_mot fits
+# nothing: without the consistency term no offset moves off zero.
+FIT_ARMS = {"full": (), "mot_only": ("lambda_fb", "lambda_se"), "no_se": ("lambda_se",),
+            "no_fb": ("lambda_fb",), "no_mot": None}
 
 
 def cmd_ablate(args) -> int:
@@ -539,23 +515,29 @@ def cmd_ablate(args) -> int:
     cfg = load_experiment_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = run_fit_ablation(cfg, workers=workers)
+    scenes = [_scene(cfg, seed) for seed in cfg.seeds]
     lines = ["arm,seed,l1,angle_deg,norm_err"]
-    for arm, seed, rep in rows:
-        lines.append(f"{arm},{seed},{_fmt(rep.l1)},{_fmt(rep.angle_deg)},{_fmt(rep.norm_err)}")
+    by_arm: dict[str, list] = {arm: [] for arm in FIT_ARMS}
+    for scene, truth, detections in scenes:
+        for arm, zeroed in FIT_ARMS.items():
+            if zeroed is None:
+                rep = zero_offset_report(truth)
+            else:
+                weights = replace(cfg.fit.weights, **dict.fromkeys(zeroed, 0.0))
+                results = _fit(scene, detections, replace(cfg.fit, weights=weights), 1, workers)
+                rep = fit_report_vs_truth(results, truth)
+            by_arm[arm].append(rep)
+            lines.append(f"{arm},{scene.seed},{_fmt(rep.l1)},{_fmt(rep.angle_deg)},"
+                         f"{_fmt(rep.norm_err)}")
     (out / "ablation_fit.csv").write_text("\n".join(lines) + "\n")
-    by_arm: dict[str, list] = {}
-    for arm, _, rep in rows:
-        by_arm.setdefault(arm, []).append(rep)
     print("loss-term ablation (mean over seeds):")
-    for arm in FIT_ARMS:
-        if arm in by_arm:
-            mean = mean_offset_report(by_arm[arm])
-            print(f"  {arm:10s} l1={mean.l1:.3f} angle={mean.angle_deg:.2f} norm={mean.norm_err:.3f}")
+    for arm, reps in by_arm.items():
+        mean = mean_offset_report(reps)
+        print(f"  {arm:10s} l1={mean.l1:.3f} angle={mean.angle_deg:.2f} norm={mean.norm_err:.3f}")
 
     stride = max(cfg.fps_strides)
     motion_cfg = replace(cfg, modes=("mussp", "mussp-nomotion"))
-    rows2 = [p for seed in cfg.seeds for p in _sweep_one(motion_cfg, stride, seed, workers)]
+    rows2 = [p for scene in scenes for p in _sweep_points(motion_cfg, *scene, stride, workers)]
     _write_points_csv(out / "ablation_motion_term.csv", rows2)
     for mode in ("mussp", "mussp-nomotion"):
         sel = [p for p in rows2 if p.mode == mode]

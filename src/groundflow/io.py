@@ -8,6 +8,9 @@ each channel stored row-major by y.
 CSV: header ``time,id,x,y,confidence``; id is -1 for unassociated
 detections. Floats are written with repr-exact precision so files
 round-trip and are byte-stable across runs.
+
+Text inputs (CSV and key files) are read as UTF-8; any other bytes are a
+FormatError.
 """
 from __future__ import annotations
 
@@ -103,10 +106,19 @@ def save_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    """The text of an input file, which must be UTF-8; any other bytes are
+    a FormatError that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text: {e}") from e
+
+
 def _read_csv(path) -> list[tuple[int, list[str]]]:
     """The rows after the header, each with its line number; blank lines
     are skipped."""
-    lines = [(n, ln.strip()) for n, ln in enumerate(Path(path).read_text().splitlines(), start=1)
+    lines = [(n, ln.strip()) for n, ln in enumerate(_read_text(path).splitlines(), start=1)
              if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty CSV")
@@ -136,7 +148,7 @@ def parse_kv(text: str) -> dict[str, str]:
 
 
 def read_kv(path) -> dict[str, str]:
-    return parse_kv(Path(path).read_text())
+    return parse_kv(_read_text(path))
 
 
 def write_kv(path, mapping: dict) -> None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Detection, GroundGrid, Heatmap, OffsetField, Trajectory
+from .core import Detection, GroundGrid, OffsetField, Trajectory
 from .detect import select_true_detections
 from .errors import ConfigError
 from .fit import FitConfig, FitPair, FitResult, fit_offsets
@@ -58,15 +58,6 @@ def stride_gated(edges: EdgeCostParams, stride: int) -> EdgeCostParams:
     return replace(edges, gate_cells=REACH_CELLS_PER_FRAME * stride)
 
 
-def detection_heatmaps(frames: list[list[Detection]], grid: GroundGrid,
-                       sigma: float, radius: float) -> list[Heatmap]:
-    """Render unit-amplitude Gaussian peaks at the detection positions."""
-    return [
-        render_heatmap([(d.x, d.y) for d in dets], grid, sigma, radius)
-        for dets in frames
-    ]
-
-
 def filter_noise_detections(frames: list[list[Detection]]) -> list[list[Detection]]:
     """The confident detections: the stream without its low-confidence
     noise cluster (2-means split over the whole sequence). The motion fit
@@ -81,15 +72,13 @@ def filter_noise_detections(frames: list[list[Detection]]) -> list[list[Detectio
 
 def fit_pairs_from_detections(frames: list[list[Detection]], grid: GroundGrid,
                               sigma: float, radius: float) -> list[FitPair]:
-    maps = detection_heatmaps(frames, grid, sigma, radius)
-    pairs = []
-    for k in range(len(maps) - 1):
-        pairs.append(FitPair(
-            maps[k].values, maps[k + 1].values,
-            tuple((d.x, d.y) for d in frames[k]),
-            tuple((d.x, d.y) for d in frames[k + 1]),
-        ))
-    return pairs
+    """One FitPair per two consecutive frames. Each frame's detections are
+    rendered as unit-amplitude Gaussian peaks of `sigma` cut at `radius`,
+    and their positions are the frame's points in both pairs it is in."""
+    points = [tuple((d.x, d.y) for d in dets) for dets in frames]
+    maps = [render_heatmap(pts, grid, sigma, radius).values for pts in points]
+    return [FitPair(maps[k], maps[k + 1], points[k], points[k + 1])
+            for k in range(len(frames) - 1)]
 
 
 def fit_scene_offsets(frames: list[list[Detection]], grid: GroundGrid,

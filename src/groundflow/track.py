@@ -12,13 +12,14 @@ The flow tracker charges every track one entry and one exit cost, kept
 only in the graph's `EdgeCostParams`, and every detection an observation
 cost (negative; it rewards confident detections). It joins detections
 up to `max_gap` frames apart, and within reach (`gate_cells` cells per
-frame of gap; off by default), by motion-aware transition costs. Every arc cost is negative, so without
-the gate any link within `max_gap`, however far, beats paying exit +
-entry. In this time-ordered graph a set of vertex-disjoint tracks is a
-bipartite matching of detections as predecessors to detections as
-successors (the path-cover view of network-flow tracking), so the
-global minimum over any number of tracks is one sparse assignment,
-solved by scipy's LAPJVsp (`min_weight_full_bipartite_matching`).
+frame of gap; off by default), by motion-aware transition costs. Every
+arc cost is negative, so without the gate any link within `max_gap`,
+however far, beats paying exit + entry. In this time-ordered graph a
+set of vertex-disjoint tracks is a bipartite matching of detections as
+predecessors to detections as successors (the path-cover view of
+network-flow tracking), so the global minimum over any number of tracks
+is one sparse assignment, solved by scipy's LAPJVsp
+(`min_weight_full_bipartite_matching`).
 
 The transition arcs are three parallel arrays (heads, tails, costs) in
 lexicographic (head, tail) order over the time-sorted detections, built

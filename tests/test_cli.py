@@ -1,11 +1,12 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from groundflow import io
+from groundflow import cli, io
 from groundflow.cli import ExperimentConfig, load_experiment_config, main, offsets_off_grid_lines
 from groundflow.fit import FitConfig
 from groundflow.pipeline import fit_scene_offsets, stride_adapted, stride_gated, track_detections
@@ -375,6 +376,57 @@ class TestFitTrack:
         assert "undefined" in capsys.readouterr().err
 
 
+class TestNonUtf8Input:
+    """A text input holding a byte that is not UTF-8 exits 2, names the
+    file and leaves no output directory."""
+
+    @staticmethod
+    def _scene(tiny_cfg, tmp_path):
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        return scene
+
+    @staticmethod
+    def _argv(command, scene):
+        return {"simulate": [], "fit": ["--scene", str(scene)],
+                "track": ["--scene", str(scene), "--mode", "mussp"],
+                "sweep-fps": [], "ablate": []}[command]
+
+    def _refused(self, argv, bad, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert _run(*argv, "--out", str(out)) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "track", "sweep-fps", "ablate"])
+    def test_config_file(self, tiny_cfg, tmp_path, capsys, command):
+        scene = self._scene(tiny_cfg, tmp_path)
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff" + Path(tiny_cfg).read_bytes())
+        self._refused([command, *self._argv(command, scene), "--config", str(bad)], bad,
+                      tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["fit", "track"])
+    def test_meta_cfg(self, tiny_cfg, tmp_path, capsys, command):
+        scene = self._scene(tiny_cfg, tmp_path)
+        bad = scene / "meta.cfg"
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        self._refused([command, *self._argv(command, scene)], bad, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["fit", "track"])
+    def test_detections_csv(self, tiny_cfg, tmp_path, capsys, command):
+        scene = self._scene(tiny_cfg, tmp_path)
+        bad = scene / "detections.csv"
+        lines = bad.read_bytes().split(b"\n")
+        row = lines[1].split(b",")
+        row[2] = b"\xff"   # the x field
+        lines[1] = b",".join(row)
+        bad.write_bytes(b"\n".join(lines))
+        self._refused([command, *self._argv(command, scene), "--config", tiny_cfg], bad,
+                      tmp_path, capsys)
+
+
 class TestSweep:
     def test_sweep_outputs(self, tiny_cfg, tmp_path):
         out = tmp_path / "sweep"
@@ -403,6 +455,23 @@ class TestSweep:
         assert (a / "sweep.svg").read_bytes() == (b / "sweep.svg").read_bytes()
 
 
+class TestOneScenePerSeed:
+    @pytest.mark.parametrize("command", ["sweep-fps", "ablate"])
+    def test_each_seed_is_simulated_once(self, tmp_path, monkeypatch, command):
+        cfg = tmp_path / "two_seeds.cfg"
+        cfg.write_text(TINY.replace("sweep.strides = 1,2", "sweep.strides = 1,2,3")
+                       .replace("sweep.seeds = 11", "sweep.seeds = 4,7"))
+        seeds = []
+
+        def counted(scene_cfg):
+            seeds.append(scene_cfg.seed)
+            return generate_scene(scene_cfg)
+
+        monkeypatch.setattr(cli, "generate_scene", counted)
+        assert _run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+        assert sorted(seeds) == [4, 7]
+
+
 class TestGradcheckCommand:
     def test_passes(self, capsys):
         assert _run("gradcheck", "--instances", "2", "--seed", "3") == 0
@@ -413,6 +482,13 @@ class TestGradcheckCommand:
     def test_instances_below_one_is_usage_error(self, instances, capsys):
         assert _run("gradcheck", "--instances", instances) == 2
         assert "passed" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_seed_below_zero_is_usage_error(self, seed, capsys):
+        assert _run("gradcheck", "--instances", "1", "--seed", seed) == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
+        assert "passed" not in captured.out
 
     def test_forward_offsets_keep_off_grid_lines(self):
         d = offsets_off_grid_lines(np.random.default_rng(0), (2, 40, 40), 0.7)
@@ -450,3 +526,29 @@ class TestAblateCommand:
         assert [ln.split(",")[1] for ln in motion[1:]] == ["mussp", "mussp-nomotion"]
         for name in ("ablation_fit.csv", "ablation_motion_term.csv"):
             assert (out / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    def test_arm_weights(self, tmp_path, monkeypatch):
+        p = tmp_path / "abl.cfg"
+        p.write_text(
+            "scene.width = 28\nscene.height = 28\nscene.num_agents = 3\n"
+            "scene.num_frames = 5\nscene.seed = 2\nfit.epochs = 20\nfit.window = 15\n"
+            "fit.lambda_fb = 0.07\nfit.lambda_se = 0.5\n"
+            "sweep.strides = 2\nsweep.seeds = 2\n"
+        )
+        fits = []
+
+        def recorded(frames, grid, fit_cfg, *args, **kwargs):
+            fits.append((fit_cfg.weights.lambda_fb, fit_cfg.weights.lambda_se, len(frames)))
+            return fit_scene_offsets(frames, grid, fit_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_scene_offsets", recorded)
+        out = tmp_path / "abl"
+        assert _run("ablate", "--config", str(p), "--out", str(out)) == 0
+        table = (out / "ablation_fit.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in table[1:]] == [
+            "full", "mot_only", "no_se", "no_fb", "no_mot"]
+        # the four fitted arms on the 5 full-rate frames, in table order, and
+        # no_mot fits nothing; then the motion-term table's one fit of the
+        # 3 frames at stride 2, with the configured weights
+        assert fits == [(0.07, 0.5, 5), (0.0, 0.0, 5), (0.07, 0.0, 5), (0.0, 0.5, 5),
+                        (0.07, 0.5, 3)]

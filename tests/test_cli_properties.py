@@ -174,10 +174,15 @@ def _run_into(argv, out) -> int:
 def mangled_rows(draw, row: list[str]):
     """`row` mangled, and whether the result still is a valid row: a
     field dropped, a field that is no number, a non-finite field, another
-    time or another x or y."""
-    kind = draw(st.sampled_from(["drop", "word", "non_finite", "time", "position"]))
+    time, another x or y, or one byte that is not UTF-8. The byte is a
+    surrogate escape, which the file is written with."""
+    kind = draw(st.sampled_from(["drop", "word", "non_finite", "time", "position", "byte"]))
     field = draw(st.integers(0, 4))
     row = list(row)
+    if kind == "byte":
+        text = ",".join(row)
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + chr(0xDC00 + draw(st.integers(0x80, 0xFF))) + text[at:], False
     if kind == "drop":
         del row[field]
     elif kind == "word":
@@ -204,7 +209,8 @@ def test_mangled_detection_row_exits_0_or_2(fitted_scene, tmp_path_factory, data
     lines = (scene / "detections.csv").read_text().splitlines()
     k = data.draw(st.integers(1, len(lines) - 1))
     lines[k], valid = data.draw(mangled_rows(lines[k].split(",")))
-    (scene / "detections.csv").write_text("\n".join(lines) + "\n")
+    (scene / "detections.csv").write_text("\n".join(lines) + "\n", encoding="utf-8",
+                                          errors="surrogateescape")
     cfg = str(fitted_scene / "tiny.cfg")
     for argv in (["fit"], ["track", "--mode", mode]):
         rc = _run_into(argv + ["--scene", str(scene), "--config", cfg], tmp / argv[0])

@@ -71,6 +71,14 @@ def test_a_name_that_only_a_docstring_or_comment_mentions_is_unreached():
     assert unreached([source], ["main()", "f'{helper()}'"]) == []
 
 
+def test_only_io_reads_files():
+    # every input goes through io.py, so every input keeps its one decode rule
+    readers = {"read_text", "read_bytes", "open"}
+    found = {p.name: sorted(readers & set(code_names(p.read_text())))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "io.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 def test_every_named_oracle_is_read_by_a_test():
     tests = "\n".join(p.read_text() for p in sorted(Path(__file__).parent.rglob("*.py"))
                       if p.name != Path(__file__).name)
