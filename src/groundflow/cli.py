@@ -64,6 +64,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be a non-empty list without repeats")
         if list(self.fps_strides) != sorted(self.fps_strides):
             raise ConfigError("sweep.strides must be sorted ascending")
+        if self.fps_strides[0] < 1:
+            raise ConfigError(f"sweep.strides must each be >= 1, not {self.fps_strides[0]}")
         for m in self.modes:
             if m not in TRACK_MODES:
                 raise ConfigError(f"unknown mode {m!r} in sweep.modes")

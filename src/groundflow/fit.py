@@ -17,8 +17,7 @@ on either side of it share when their heatmaps and points there agree.
 A frame keeps each smoothed target it makes, keyed by lambda_r, until
 the other pair asks for that lambda_r and takes it. Only work passes
 from pair to pair, so each pair's result is bit-identical to its fit
-alone. A run owns one WarpWorkspace, sized once for its largest
-heatmap at the first epoch's block radius.
+alone. A run owns one WarpWorkspace, grown to its largest pass.
 
 `FitConfig.epochs` is a ceiling. After each epoch's step a pair reads its
 fields where the trackers read them: fdx/fdy bilinearly at its x_t
@@ -59,7 +58,6 @@ from .warp import (
     WarpPlan,
     WarpWorkspace,
     _uncapped_radius,
-    block_radius,
     smoothed_target,
 )
 
@@ -214,10 +212,7 @@ def _fit_run(pairs: list, cfg: FitConfig, grid: GroundGrid | None,
              first_index: int) -> list[FitResult]:
     """Fit consecutive pairs one after another, over one _Frame per
     heatmap and one WarpWorkspace (see the module docstring)."""
-    # lambda_r only rises, so the first epoch's block radius is the largest
-    k = 2 * block_radius(cfg.schedule.init, cfg.window_cells) + 1
-    workspace = WarpWorkspace(max(np.count_nonzero(x) for pair in pairs
-                                  for x in (pair.x_t, pair.x_t1)) * k * k)
+    workspace = WarpWorkspace()
     results, frame_t1 = [], None
     for i, pair in enumerate(pairs):
         frame_t = frame_t1

@@ -107,10 +107,10 @@ def save_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
 
 
 def _read_text(path) -> str:
-    """The text of an input file, which must be UTF-8; any other bytes are
-    a FormatError that names the file."""
+    """The text of an input file, which must be UTF-8, less a leading
+    byte-order mark; any other bytes are a FormatError that names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: not UTF-8 text: {e}") from e
 

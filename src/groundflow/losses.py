@@ -64,8 +64,7 @@ class LambdaSchedule:
     cap: float = 5.0
 
     def __post_init__(self):
-        # lambda_r must stay positive and only rise: a fit sizes its warp
-        # workspace for the first epoch's block radius
+        # lambda_r stays positive and only rises: the schedule only sharpens
         if not (0 < self.init <= self.cap and self.increment >= 0):
             raise ValueError("schedule requires 0 < init <= cap and increment >= 0")
 
@@ -101,16 +100,10 @@ def _bilinear_corners(shape, px: np.ndarray, py: np.ndarray):
     return x0, x1, y0, y1, cx - x0, cy - y0, inside_x, inside_y
 
 
-def bilinear_sample(arr: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of `arr` at continuous points, border-clamped.
-    The last two axes of `arr` are the grid's (y, x); a stack of fields
-    is sampled at the points along its leading axes."""
-    return bilinear_sampler(arr.shape[-2:], px, py)(arr)
-
-
 def bilinear_sampler(shape, px: np.ndarray, py: np.ndarray):
-    """bilinear_sample at fixed points of a grid of `shape`, as a function
-    of the field (or stack of fields); the corners are found once."""
+    """Border-clamped bilinear interpolation at fixed points of a grid of
+    `shape`, as a function of a field whose last two axes are the grid's
+    (y, x), or of a stack of them; the corners are found once."""
     x0, x1, y0, y1, fx, fy, _, _ = _bilinear_corners(shape, px, py)
 
     def sample(arr: np.ndarray) -> np.ndarray:

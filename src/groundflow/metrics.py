@@ -7,9 +7,9 @@ assigned by minimum total distance. An identity switch is counted when
 a ground-truth track's matched prediction id differs from its last
 known match. MOTP is the raw mean matched distance in cells (lower is
 better). Identity metrics (IDF1/IDP/IDR) come from a single global
-trajectory-level assignment that maximizes correctly identified frames;
-the per-pair counts of such frames are taken in the same per-frame pass,
-from the same gt x pred distance matrix as the CLEAR MOT matching.
+trajectory-level assignment that maximizes correctly identified frames,
+counted per pair in the same per-frame pass and distance matrix as the
+CLEAR MOT matching. Both assignments are `track.associate_hungarian`.
 """
 from __future__ import annotations
 
@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import OffsetField
 from .errors import UndefinedMetric
+from .track import associate_hungarian
 
 # the distance in cells up to which a tracked point may match a true one
 DIST_THRESHOLD = 2.5
@@ -114,29 +114,21 @@ def clear_mot(pred, gt, dist_threshold: float = DIST_THRESHOLD) -> MotReport:
             else:
                 unmatched.append(r)
         free = [c for c, pid in enumerate(pids) if pid not in used_pred]
-        if unmatched and free:
-            cost = dist[np.ix_(unmatched, free)]
-            rows, cols = linear_sum_assignment(np.where(cost > dist_threshold, 1e9, cost))
-            newly = set()
-            for r, c in zip(rows, cols):
-                if cost[r, c] > dist_threshold:
-                    continue
-                gid = gids[unmatched[r]]
-                pid = pids[free[c]]
-                matches += 1
-                dist_sum += float(cost[r, c])
-                used_pred.add(pid)
-                newly.add(gid)
-                if gid in mapping and mapping[gid] != pid:
-                    idsw += 1
-                mapping[gid] = pid
-            unmatched = [r for r in unmatched if gids[r] not in newly]
-        fn += len(unmatched)
+        pairs = associate_hungarian(dist[np.ix_(unmatched, free)], dist_threshold)
+        for i, j in pairs:
+            r, c = unmatched[i], free[j]
+            gid, pid = gids[r], pids[c]
+            matches += 1
+            dist_sum += float(dist[r, c])
+            used_pred.add(pid)
+            if mapping.get(gid, pid) != pid:
+                idsw += 1
+            mapping[gid] = pid
+        fn += len(unmatched) - len(pairs)
         fp += len(preds) - len(used_pred)
 
     # identity metrics: one global assignment maximizing the overlap
-    rows, cols = linear_sum_assignment(-overlap)
-    idtp = int(overlap[rows, cols].sum())
+    idtp = sum(int(overlap[r, c]) for r, c in associate_hungarian(-overlap))
     return MotReport(
         mota=1.0 - (fn + fp + idsw) / gt_total,
         motp=dist_sum / matches if matches else 0.0,

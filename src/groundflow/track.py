@@ -7,6 +7,8 @@ Every association is one call on a cost matrix. The online matchers
 rows are the earlier frame's detections or tracks and whose columns are
 the later frame's detections; their callers state the cost: ground-plane
 distance for the chaining baselines, 1 - IoU for the two-stage tracker.
+`metrics.clear_mot` scores with `associate_hungarian` too. Both trackers
+read a fitted field with one `losses.bilinear_sampler` per frame.
 
 The flow tracker charges every track one entry and one exit cost, kept
 only in the graph's `EdgeCostParams`, and every detection an observation
@@ -47,7 +49,7 @@ from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .core import Detection, Trajectory
 from .errors import InstanceTooLarge
-from .losses import bilinear_sample
+from .losses import bilinear_sampler
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,9 @@ def build_graph(detections, bwd_fields, p: EdgeCostParams) -> TrackingGraph:
             t = int(times[s])
             if t >= 1 and t - 1 < len(bwd_fields):
                 fld = bwd_fields[t - 1]
-                bx[s:e] = bilinear_sample(fld.dx, xs[s:e], ys[s:e])
-                by[s:e] = bilinear_sample(fld.dy, xs[s:e], ys[s:e])
+                read = bilinear_sampler(fld.dx.shape, xs[s:e], ys[s:e])
+                bx[s:e] = read(fld.dx)
+                by[s:e] = read(fld.dy)
     time_factor = np.array([math.exp(-p.sigma_t * (gap - 1)) for gap in range(p.max_gap + 1)])
     heads = [np.zeros(0, np.int64)]
     tails = [np.zeros(0, np.int64)]
@@ -454,8 +457,8 @@ def run_two_stage(frames: list[list[Detection]], motion_source: str,
             fld = fwd_fields[t - 1]
             gaps = t - last
             xs, ys = heads[:, 0], heads[:, 1]
-            pred = np.column_stack([xs + gaps * bilinear_sample(fld.dx, xs, ys),
-                                    ys + gaps * bilinear_sample(fld.dy, xs, ys)])
+            read = bilinear_sampler(fld.dx.shape, xs, ys)
+            pred = np.column_stack([xs + gaps * read(fld.dx), ys + gaps * read(fld.dy)])
 
         xy = np.array([(d.x, d.y) for d in dets], dtype=np.float64).reshape(-1, 2)
         times = np.array([d.time for d in dets], dtype=np.int64)

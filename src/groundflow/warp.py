@@ -17,11 +17,11 @@ EPSILON. The dense path is the O(N^2) oracle used for verification.
 
 Every S x (2R + 1)^2 step (S nonzero sources) writes into the prefix
 views of a WarpWorkspace, so a fit that keeps one workspace allocates
-them once instead of once per pass. The caller owns the workspace; the
-public one-shot functions use a throwaway one. A forward pass with a
-cache leaves its distances, weights and block indices in the workspace
-for the offset gradient, and the cache stays valid only until the next
-pass through the same workspace.
+only when a pass outgrows it, not once per pass. The caller owns the
+workspace; the public one-shot functions use a throwaway one. A forward
+pass with a cache leaves its distances, weights and block indices in
+the workspace for the offset gradient, and the cache stays valid only
+until the next pass through the same workspace.
 
 Bit-reproducibility: each output cell accumulates its block
 contributions in row-major source order regardless of how the work is
@@ -174,23 +174,24 @@ class WarpWorkspace:
     """Reusable buffers for the S x K x K steps of the windowed warp.
 
     Four float64 buffers, one int64 index buffer and one bool mask, each
-    flat and `size` elements long to begin with. A pass over S sources
-    with blocks K cells wide uses their (S, K, K) prefix views and grows
-    the buffers first when they are too small, so a workspace sized for
-    the largest pass of a fit serves every smaller one. Each pass that
-    fills the buffers takes ownership of them (see claim); a forward
-    cache holds the owner it was given, and the offset gradient refuses a
-    cache whose pass no longer owns them.
+    flat and empty to begin with. A pass over S sources with blocks K
+    cells wide uses their (S, K, K) prefix views, first dropping and
+    regrowing the buffers when they are too small, so a workspace grows
+    to the largest pass of a fit. Each pass that fills the buffers takes
+    ownership of them (see claim); a forward cache holds the owner it
+    was given, and the offset gradient refuses a cache whose pass no
+    longer owns them.
     """
 
-    def __init__(self, size: int = 0):
+    def __init__(self):
         self.owner = 0
-        self._bufs = tuple(np.empty(size, dtype=t) for t in _BLOCK_DTYPES)
+        self._bufs = tuple(np.empty(0, dtype=t) for t in _BLOCK_DTYPES)
 
     def claim(self, s: int, k: int) -> _Blocks:
         """(s, k, k) views of the buffers for a new pass, which now owns them."""
         n = s * k * k
         if n > self._bufs[0].size:
+            self._bufs = ()
             self._bufs = tuple(np.empty(n, dtype=t) for t in _BLOCK_DTYPES)
         self.owner += 1
         return _Blocks(*(buf[:n].reshape(s, k, k) for buf in self._bufs))

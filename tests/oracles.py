@@ -14,7 +14,7 @@ from groundflow.errors import DimensionMismatch
 from groundflow.io import _read_csv
 from groundflow.losses import (
     _same_shape,
-    bilinear_sample,
+    bilinear_sampler,
     loss_fb_grad,
     loss_se_grad_hoods,
     se_neighborhoods,
@@ -36,9 +36,8 @@ def sample_offset(field: OffsetField | None, x: float, y: float) -> tuple[float,
     """Bilinear sample of an offset field at a continuous point (border-clamped)."""
     if field is None:
         return 0.0, 0.0
-    px = np.array([x])
-    py = np.array([y])
-    return float(bilinear_sample(field.dx, px, py)[0]), float(bilinear_sample(field.dy, px, py)[0])
+    read = bilinear_sampler(field.dx.shape, np.array([x]), np.array([y]))
+    return float(read(field.dx)[0]), float(read(field.dy)[0])
 
 
 def edge_cost(i_pos, j_pos, t1: int, t2: int, delta_bwd_at_j, p: EdgeCostParams) -> float:

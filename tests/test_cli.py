@@ -8,6 +8,7 @@ import pytest
 
 from groundflow import cli, io
 from groundflow.cli import ExperimentConfig, load_experiment_config, main, offsets_off_grid_lines
+from groundflow.errors import Divergence
 from groundflow.fit import FitConfig
 from groundflow.pipeline import fit_scene_offsets, stride_adapted, stride_gated, track_detections
 from groundflow.sim import corrupt_detections, generate_scene, subsample_fps
@@ -105,6 +106,16 @@ class TestConfig:
         assert _run(command, "--config", str(p), "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("strides", ["0,1", "-2,1", "0"])
+    @pytest.mark.parametrize("command", ["sweep-fps", "ablate"])
+    def test_stride_below_one_is_config_error(self, tmp_path, capsys, command, strides):
+        p = tmp_path / "bad.cfg"
+        p.write_text(TINY.replace("sweep.strides = 1,2", f"sweep.strides = {strides}"))
+        out = tmp_path / "o"
+        assert _run(command, "--config", str(p), "--out", str(out)) == 2
+        assert "sweep.strides" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_writes_scene_files(self, tiny_cfg, tmp_path):
@@ -182,6 +193,18 @@ class TestFitTrack:
         assert report["mota"] > 0.9
         tracks = load_trajectories(trk / "tracks.csv")
         assert len(tracks) >= 3
+
+    def test_divergence_exits_3(self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+
+        def diverging(*args, **kwargs):
+            raise Divergence("pair 0: loss became non-finite at epoch 0")
+
+        monkeypatch.setattr(cli, "fit_scene_offsets", diverging)
+        assert _run("fit", "--scene", str(scene), "--out", str(tmp_path / "fit"),
+                    "--config", tiny_cfg) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_offsets_round_trip_gives_in_process_tracks(self, tiny_cfg, tmp_path, stride):
@@ -427,6 +450,48 @@ class TestNonUtf8Input:
                       tmp_path, capsys)
 
 
+def _tree(root: Path) -> dict:
+    """The bytes of each file under `root`, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestByteOrderMark:
+    """A text input that starts with a UTF-8 byte-order mark reads as the
+    same file without it."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    def test_config_file(self, tiny_cfg, tmp_path, command):
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(self.BOM + Path(tiny_cfg).read_bytes())
+        argv = {"simulate": [], "track": ["--scene", str(scene), "--mode", "mussp"]}[command]
+        outs = []
+        for k, cfg in enumerate((tiny_cfg, bom)):
+            outs.append(tmp_path / f"out{k}")
+            assert _run(command, *argv, "--config", str(cfg), "--out", str(outs[k])) == 0
+        assert _tree(outs[0]) == _tree(outs[1])
+
+    @pytest.mark.parametrize("name", ["meta.cfg", "detections.csv"])
+    @pytest.mark.parametrize("command", ["fit", "track"])
+    def test_scene_file(self, tiny_cfg, tmp_path, command, name):
+        scenes = [tmp_path / "plain", tmp_path / "bom"]
+        for scene in scenes:
+            assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        marked = scenes[1] / name
+        marked.write_bytes(self.BOM + marked.read_bytes())
+        argv = {"fit": [], "track": ["--mode", "mussp"]}[command]
+        outs = []
+        for k, scene in enumerate(scenes):
+            outs.append(tmp_path / f"out{k}")
+            assert _run(command, "--scene", str(scene), *argv, "--config", tiny_cfg,
+                        "--out", str(outs[k])) == 0
+        assert _tree(outs[0]) == _tree(outs[1])
+
+
 class TestSweep:
     def test_sweep_outputs(self, tiny_cfg, tmp_path):
         out = tmp_path / "sweep"
@@ -477,6 +542,11 @@ class TestGradcheckCommand:
         assert _run("gradcheck", "--instances", "2", "--seed", "3") == 0
         out = capsys.readouterr().out
         assert "gradient check passed" in out
+
+    def test_failed_check_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "finite_diff_check", lambda *args, **kwargs: 1.0)
+        assert _run("gradcheck", "--instances", "1") == 3
+        assert "FAILED" in capsys.readouterr().err
 
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_instances_below_one_is_usage_error(self, instances, capsys):

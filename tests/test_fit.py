@@ -8,6 +8,7 @@ import groundflow.fit
 from groundflow import pipeline
 from groundflow.core import GroundGrid
 from groundflow.cli import load_experiment_config
+from groundflow.errors import Divergence
 from groundflow.fit import FitConfig, FitPair, finite_diff_check, fit_offsets
 from groundflow.losses import LambdaSchedule, LossWeights, loss_fb_grad, loss_total
 from groundflow.sim import SceneConfig, corrupt_detections, generate_scene, render_heatmap
@@ -214,6 +215,19 @@ class TestFitOffsets:
         result = fit_offsets([pair], cfg, g)[0]
         assert np.abs(result.fwd.dx).max() <= 4.0 + 1e-12
         assert np.abs(result.fwd.dy).max() <= 4.0 + 1e-12
+
+    def test_non_finite_loss_is_divergence(self):
+        # one NaN in the later heatmap of the second pair makes that pair's
+        # first loss NaN; the error names the pair and the epoch
+        cfg_s = SceneConfig(grid=GroundGrid(24, 24), num_agents=3, num_frames=3,
+                            speed_cells=(1.0, 1.5), turn_sigma_rad=0.1, seed=9)
+        pairs = _pairs_from_truth(generate_scene(cfg_s))
+        x_t1 = pairs[1].x_t1.copy()
+        x_t1[12, 12] = np.nan
+        pairs[1] = replace(pairs[1], x_t1=x_t1)
+        cfg = FitConfig(epochs=5, learning_rate=0.05, window_cells=15)
+        with pytest.raises(Divergence, match=r"pair 1\b.*\bepoch 0\b"):
+            fit_offsets(pairs, cfg, cfg_s.grid)
 
     def test_motion_loss_alone_drops_below_ten_percent(self):
         # consistency signal alone (no regularizers) on a clean single agent

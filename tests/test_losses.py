@@ -4,7 +4,7 @@ import pytest
 from groundflow.losses import (
     LambdaSchedule,
     LossWeights,
-    bilinear_sample,
+    bilinear_sampler,
     loss_fb_grad,
     loss_se_grad_hoods,
     loss_total,
@@ -134,10 +134,10 @@ class TestBilinearSample:
         stack = rng.normal(size=(3, 7, 9))
         px = rng.uniform(-2.0, 10.0, 11)
         py = rng.uniform(-2.0, 8.0, 11)
-        got = bilinear_sample(stack, px, py)
+        got = bilinear_sampler(stack.shape[-2:], px, py)(stack)
         assert got.shape == (3, 11)
         for row, field in zip(got, stack):
-            assert row.tobytes() == bilinear_sample(field, px, py).tobytes()
+            assert row.tobytes() == bilinear_sampler(field.shape, px, py)(field).tobytes()
 
 
 class TestSchedule:

@@ -79,6 +79,14 @@ def test_only_io_reads_files():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def test_only_track_solves_assignments():
+    # the scorer and the trackers share one assignment routine,
+    # track.associate_hungarian
+    found = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if code_names(p.read_text())["linear_sum_assignment"]]
+    assert found == ["track.py"]
+
+
 def test_every_named_oracle_is_read_by_a_test():
     tests = "\n".join(p.read_text() for p in sorted(Path(__file__).parent.rglob("*.py"))
                       if p.name != Path(__file__).name)
