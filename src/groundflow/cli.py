@@ -21,7 +21,7 @@ import numpy as np
 from . import io
 from .core import GroundGrid, OffsetField
 from .errors import ConfigError, Divergence, FormatError, GroundflowError
-from .fit import FitConfig, FitResult, finite_diff_check, trace_csv
+from .fit import FitConfig, FitResult, finite_diff_check
 from .losses import LossWeights, loss_total
 from .metrics import DIST_THRESHOLD, clear_mot, mean_offset_report
 from .pipeline import (
@@ -200,10 +200,6 @@ def _workers() -> int:
     raise ConfigError(f"GROUNDFLOW_THREADS must be a whole number >= 1, not {raw!r}")
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------- simulate
 
 def load_scene_dir(scene_dir: str, stride: int, config: str | None = None):
@@ -280,9 +276,9 @@ def _fit(scene: SceneConfig, detections, fit_cfg: FitConfig, stride: int,
 def cmd_fit(args) -> int:
     workers = _workers()
     cfg, truth, detections = load_scene_dir(args.scene, args.stride, args.config)
-    if sum(len(d) for d in detections) == 0 or len(detections) < 2:
-        print("no frame pairs to fit (empty scene)")
-        return 0
+    if len(detections) < 2:
+        raise ConfigError(f"--stride {args.stride} leaves {len(detections)} of the scene's "
+                          f"{cfg.scene.num_frames} frames; a fit needs at least 2")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = _fit(cfg.scene, detections, cfg.fit, args.stride, workers)
@@ -291,7 +287,10 @@ def cmd_fit(args) -> int:
     traces = out / "traces"
     traces.mkdir(exist_ok=True)
     for k, r in enumerate(results):
-        (traces / f"pair_{k:03d}.csv").write_text(trace_csv(r.trace))
+        # l_det, the paper's detection term, is identically zero here (see losses.py)
+        io.write_csv(traces / f"pair_{k:03d}.csv", "epoch,lambda_r,l_mot,l_det,l_fb,l_se,total",
+                     ((row["epoch"], row["lambda_r"], row["l_mot"], 0.0, row["l_fb"], row["l_se"],
+                       row["total"]) for row in r.trace))
     report = fit_report_vs_truth(results, truth)
     (out / "offset_report.json").write_text(report.to_json())
     print(f"fitted {len(results)} pairs; offsets vs GT: "
@@ -319,14 +318,10 @@ def cmd_track(args) -> int:
                               edges=stride_gated(cfg.edges, args.stride),
                               two_stage=cfg.two_stage)
     io.save_trajectories(out / "tracks.csv", tracks)
-    if sum(len(tr.points) for tr in truth.trajectories) and tracks:
-        report = clear_mot(tracks, list(truth.trajectories), cfg.dist_threshold)
-        (out / "mot_report.json").write_text(report.to_json())
-        print(f"{args.mode}: {len(tracks)} tracks, mota={report.mota:.4f} "
-              f"idf1={report.idf1:.4f} motp={report.motp:.3f}")
-    else:
-        print(f"{args.mode}: {len(tracks)} tracks, MOTA undefined (reported as NaN)", file=sys.stderr)
-        (out / "mot_report.json").write_text('{"mota": NaN}\n')
+    report = clear_mot(tracks, list(truth.trajectories), cfg.dist_threshold)
+    (out / "mot_report.json").write_text(report.to_json())
+    print(f"{args.mode}: {len(tracks)} tracks, mota={report.mota:.4f} "
+          f"idf1={report.idf1:.4f} motp={report.motp:.3f}")
     return 0
 
 
@@ -420,10 +415,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1):
 
 
 def _write_points_csv(path, points) -> None:
-    lines = ["stride,mode,seed,mota,idf1,motp"]
-    for p in points:
-        lines.append(f"{p.stride},{p.mode},{p.seed},{_fmt(p.mota)},{_fmt(p.idf1)},{_fmt(p.motp)}")
-    path.write_text("\n".join(lines) + "\n")
+    io.write_csv(path, "stride,mode,seed,mota,idf1,motp",
+                 ((p.stride, p.mode, p.seed, p.mota, p.idf1, p.motp) for p in points))
 
 
 def cmd_sweep_fps(args) -> int:
@@ -518,7 +511,7 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenes = [_scene(cfg, seed) for seed in cfg.seeds]
-    lines = ["arm,seed,l1,angle_deg,norm_err"]
+    rows = []
     by_arm: dict[str, list] = {arm: [] for arm in FIT_ARMS}
     for scene, truth, detections in scenes:
         for arm, zeroed in FIT_ARMS.items():
@@ -529,9 +522,8 @@ def cmd_ablate(args) -> int:
                 results = _fit(scene, detections, replace(cfg.fit, weights=weights), 1, workers)
                 rep = fit_report_vs_truth(results, truth)
             by_arm[arm].append(rep)
-            lines.append(f"{arm},{scene.seed},{_fmt(rep.l1)},{_fmt(rep.angle_deg)},"
-                         f"{_fmt(rep.norm_err)}")
-    (out / "ablation_fit.csv").write_text("\n".join(lines) + "\n")
+            rows.append((arm, scene.seed, rep.l1, rep.angle_deg, rep.norm_err))
+    io.write_csv(out / "ablation_fit.csv", "arm,seed,l1,angle_deg,norm_err", rows)
     print("loss-term ablation (mean over seeds):")
     for arm, reps in by_arm.items():
         mean = mean_offset_report(reps)

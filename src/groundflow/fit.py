@@ -276,21 +276,6 @@ def _fit_pair(frame_t: _Frame, frame_t1: _Frame, workspace: WarpWorkspace, cfg: 
     )
 
 
-def trace_csv(trace) -> str:
-    """Render one pair's loss trace as CSV.
-
-    The l_det column is the paper's detection term, which is identically
-    zero here (see losses.py), so it is written as the constant 0.0.
-    """
-    lines = ["epoch,lambda_r,l_mot,l_det,l_fb,l_se,total"]
-    for row in trace:
-        lines.append(
-            f"{row['epoch']},{row['lambda_r']!r},{row['l_mot']!r},0.0,"
-            f"{row['l_fb']!r},{row['l_se']!r},{row['total']!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def finite_diff_check(f, point: np.ndarray, eps: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients.
 

@@ -1,13 +1,14 @@
-"""File formats: the GFH1 binary map container, detection/trajectory CSV,
-and flat key=value config files.
+"""File formats: the GFH1 binary map container, CSV tables and flat
+key=value config files.
 
 GFH1 container: 16-byte header (magic ``GFH1``, u32 w, u32 h, u32 channels,
 little-endian), followed by channels * w * h little-endian float32 values,
 each channel stored row-major by y.
 
-CSV: header ``time,id,x,y,confidence``; id is -1 for unassociated
-detections. Floats are written with repr-exact precision so files
-round-trip and are byte-stable across runs.
+CSV: every table the program writes goes through `write_csv`, which
+writes floats with repr-exact precision so files round-trip and are
+byte-stable across runs. Detections and trajectories share the header
+``time,id,x,y,confidence``; id is -1 for unassociated detections.
 
 Text inputs (CSV and key files) are read as UTF-8; any other bytes are a
 FormatError.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import DimensionMismatch, FormatError
 
 MAGIC = b"GFH1"
 _HEADER = struct.Struct("<4sIII")
+_POINTS_HEADER = "time,id,x,y,confidence"   # of detections and trajectories
 
 
 def save_maps(path, channels: Sequence[np.ndarray]) -> None:
@@ -57,16 +59,19 @@ def load_maps(path) -> tuple[int, int, list[np.ndarray]]:
     return w, h, [flat[k * w * h : (k + 1) * w * h].reshape(h, w).astype(np.float64) for k in range(n)]
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
+    """Write `header`, then one comma-joined line per row. A float field
+    (np.float64 included) is written as repr(float(v)), any other as str(v)."""
+    lines = [header]
+    lines.extend(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+                 for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_detections(path, frames: Sequence[Sequence[Detection]]) -> None:
-    lines = ["time,id,x,y,confidence"]
-    for dets in frames:
-        for d in dets:
-            lines.append(f"{d.time},-1,{_fmt(d.x)},{_fmt(d.y)},{_fmt(d.confidence)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, _POINTS_HEADER,
+              ((d.time, -1, float(d.x), float(d.y), float(d.confidence))
+               for dets in frames for d in dets))
 
 
 def load_detections(path, num_frames: int, grid: GroundGrid) -> list[list[Detection]]:
@@ -99,11 +104,9 @@ def load_detections(path, num_frames: int, grid: GroundGrid) -> list[list[Detect
 
 
 def save_trajectories(path, trajectories: Sequence[Trajectory]) -> None:
-    lines = ["time,id,x,y,confidence"]
-    for traj in sorted(trajectories, key=lambda tr: tr.id):
-        for t, x, y in traj.points:
-            lines.append(f"{t},{traj.id},{_fmt(x)},{_fmt(y)},1.0")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, _POINTS_HEADER,
+              ((t, traj.id, x, y, 1.0)
+               for traj in sorted(trajectories, key=lambda tr: tr.id) for t, x, y in traj.points))
 
 
 def _read_text(path) -> str:
@@ -123,7 +126,7 @@ def _read_csv(path) -> list[tuple[int, list[str]]]:
     if not lines:
         raise FormatError(f"{path}: empty CSV")
     header = lines[0][1]
-    if [c.strip() for c in header.split(",")] != ["time", "id", "x", "y", "confidence"]:
+    if [c.strip() for c in header.split(",")] != _POINTS_HEADER.split(","):
         raise FormatError(f"{path}: unexpected CSV header {header!r}")
     return [(n, ln.split(",")) for n, ln in lines[1:]]
 

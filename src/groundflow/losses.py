@@ -258,10 +258,10 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
 
     The heatmaps are fixed inputs here (the offset fields are the free
     variables), so the detection term is identically zero and left out;
-    trace_csv writes its column as 0.0. The motion term covers both
-    temporal directions: the pair warped forward by delta_fwd and the
-    reversed pair warped by delta_bwd, each compared against the other
-    frame's smoothed heatmap.
+    the `fit` command writes its l_det trace column as 0.0. The motion
+    term covers both temporal directions: the pair warped forward by
+    delta_fwd and the reversed pair warped by delta_bwd, each compared
+    against the other frame's smoothed heatmap.
     The spatial-extent term is likewise applied to each field with its
     source frame's points; the forward/backward term couples the two
     fields once, anchored at the forward one.

@@ -61,6 +61,8 @@ class SceneConfig:
         lo, hi = self.speed_cells
         if not (0 <= lo <= hi):
             raise ConfigError("speed range must satisfy 0 <= min <= max")
+        if not (self.turn_sigma_rad >= 0):
+            raise ConfigError("turn_sigma_rad must be >= 0")
         if not (0 <= self.miss_rate < 1):
             raise ConfigError("miss_rate must lie in [0, 1)")
         if not (self.fp_rate_per_frame >= 0 and self.jitter_sigma_cells >= 0):

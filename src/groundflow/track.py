@@ -140,13 +140,15 @@ def build_graph(detections, bwd_fields, p: EdgeCostParams) -> TrackingGraph:
                 read = bilinear_sampler(fld.dx.shape, xs[s:e], ys[s:e])
                 bx[s:e] = read(fld.dx)
                 by[s:e] = read(fld.dy)
-    time_factor = np.array([math.exp(-p.sigma_t * (gap - 1)) for gap in range(p.max_gap + 1)])
+    # no gap exceeds the stream's span, so a larger max_gap reaches no further
+    reach = min(p.max_gap, int(times[-1] - times[0]) if n else 0)
+    time_factor = np.array([math.exp(-p.sigma_t * (gap - 1)) for gap in range(reach + 1)])
     heads = [np.zeros(0, np.int64)]
     tails = [np.zeros(0, np.int64)]
     trans = [np.zeros(0)]
     for s, e in zip(bounds[:-1], bounds[1:]):
         # targets: the later frames up to max_gap ahead, which start at e
-        hi = np.searchsorted(times, times[s] + p.max_gap, side="right")
+        hi = np.searchsorted(times, times[s] + reach, side="right")
         gap = times[e:hi] - times[s]
         ix = xs[s:e, None]
         iy = ys[s:e, None]

@@ -10,7 +10,13 @@ from groundflow import cli, io
 from groundflow.cli import ExperimentConfig, load_experiment_config, main, offsets_off_grid_lines
 from groundflow.errors import Divergence
 from groundflow.fit import FitConfig
-from groundflow.pipeline import fit_scene_offsets, stride_adapted, stride_gated, track_detections
+from groundflow.pipeline import (
+    fit_scene_offsets,
+    stride_adapted,
+    stride_gated,
+    track_detections,
+    zero_offset_report,
+)
 from groundflow.sim import corrupt_detections, generate_scene, subsample_fps
 from groundflow.track import EdgeCostParams, TwoStageConfig
 from oracles import load_trajectories
@@ -44,6 +50,10 @@ def tiny_cfg(tmp_path):
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestConfig:
@@ -133,6 +143,14 @@ class TestSimulate:
         p.write_text("scene.fp_rate = 746\n")
         rc = _run("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
         assert rc == 2
+
+    def test_negative_turn_sigma_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("scene.turn_sigma = -0.25\n")
+        out = tmp_path / "o"
+        assert _run("simulate", "--config", str(p), "--out", str(out)) == 2
+        assert not out.exists()
+        assert "turn_sigma" in capsys.readouterr().err
 
     def test_zero_agents_is_config_error(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -388,15 +406,62 @@ class TestFitTrack:
         assert not out.exists()
         assert "offsets_fwd.bin" in capsys.readouterr().err
 
-    def test_empty_detections_reports_nan(self, tiny_cfg, tmp_path, capsys):
+    def test_empty_detections_score_zero(self, tiny_cfg, tmp_path):
+        # no tracks: every truth point is a miss, as sweep-fps scores it
         scene = tmp_path / "scene"
         _run("simulate", "--config", tiny_cfg, "--out", str(scene))
         (scene / "detections.csv").write_text("time,id,x,y,confidence\n")
         trk = tmp_path / "trk"
         rc = _run("track", "--scene", str(scene), "--mode", "mussp", "--out", str(trk))
         assert rc == 0
-        assert "NaN" in (trk / "mot_report.json").read_text()
-        assert "undefined" in capsys.readouterr().err
+        assert (trk / "tracks.csv").read_text() == "time,id,x,y,confidence\n"
+        report = json.loads((trk / "mot_report.json").read_text(), parse_constant=_no_constant)
+        assert report["mota"] == 0.0
+        assert report["idf1"] == 0.0
+
+    def test_empty_scene_fits_zero_fields(self, tiny_cfg, tmp_path):
+        # a scene without detections fits, as sweep-fps and ablate fit it
+        scene = tmp_path / "scene"
+        fit = tmp_path / "fit"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        (scene / "detections.csv").write_text("time,id,x,y,confidence\n")
+        assert _run("fit", "--scene", str(scene), "--out", str(fit), "--config", tiny_cfg) == 0
+        for name in ("offsets_fwd.bin", "offsets_bwd.bin"):
+            _, _, channels = io.load_maps(fit / name)
+            assert len(channels) == 10
+            assert not any(c.any() for c in channels)
+        assert len(list((fit / "traces").iterdir())) == 5
+        truth = generate_scene(load_experiment_config(tiny_cfg).scene)
+        assert (fit / "offset_report.json").read_text() == zero_offset_report(truth).to_json()
+        assert _run("track", "--scene", str(scene), "--offsets", str(fit), "--mode", "mussp",
+                    "--out", str(tmp_path / "trk"), "--config", tiny_cfg) == 0
+
+    @pytest.mark.parametrize("stride", ["6", "9"])
+    def test_stride_that_leaves_one_frame_is_config_error(self, tiny_cfg, tmp_path, capsys,
+                                                          stride):
+        # the 6-frame scene at stride 6 or more keeps frame 0 alone: no pair
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        out = tmp_path / "fit"
+        assert _run("fit", "--scene", str(scene), "--out", str(out), "--config", tiny_cfg,
+                    "--stride", stride) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"--stride {stride}" in err and "6 frames" in err
+
+    def test_max_gap_beyond_the_scene_tracks_its_span(self, tiny_cfg, tmp_path):
+        # no gap of the 6-frame scene reaches 6, so 10**11 tracks as 6 does
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", tiny_cfg, "--out", str(scene)) == 0
+        tracks = []
+        for gap in ("6", "100000000000"):
+            cfg = tmp_path / f"gap{gap}.cfg"
+            cfg.write_text(TINY + f"edges.max_gap = {gap}\n")
+            out = tmp_path / gap
+            assert _run("track", "--scene", str(scene), "--mode", "mussp", "--out", str(out),
+                        "--config", str(cfg)) == 0
+            tracks.append((out / "tracks.csv").read_bytes())
+        assert tracks[0] == tracks[1]
 
 
 class TestNonUtf8Input:

@@ -61,6 +61,19 @@ class TestCsv:
         assert loaded[0][0] == frames[0][0]
         assert loaded[2][0].x == 0.1234567890123  # repr round-trips exactly
 
+    def test_write_csv_writes_floats_repr_exact_and_the_rest_as_str(self, tmp_path):
+        path = tmp_path / "t.csv"
+        io.write_csv(path, "a,b,c,d,e", [(1, np.float64(0.1), 2.0, "x", np.int64(3)),
+                                         (-1, 1e-17, 1 / 3, "y", 0)])
+        assert path.read_text() == "a,b,c,d,e\n1,0.1,2.0,x,3\n-1,1e-17,0.3333333333333333,y,0\n"
+        io.write_csv(path, "a,b", [])
+        assert path.read_text() == "a,b\n"
+
+    def test_integer_detection_fields_are_written_as_floats(self, tmp_path):
+        path = tmp_path / "dets.csv"
+        io.save_detections(path, [[Detection(0, 1, 2, 1)]])
+        assert path.read_text() == "time,id,x,y,confidence\n0,-1,1.0,2.0,1.0\n"
+
     def test_detections_have_id_minus_one(self, tmp_path):
         path = tmp_path / "dets.csv"
         io.save_detections(path, [[Detection(0, 1.0, 1.0, 0.5)]])

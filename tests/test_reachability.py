@@ -79,6 +79,12 @@ def test_only_io_reads_files():
     assert {name: calls for name, calls in found.items() if calls} == {}
 
 
+def test_only_io_formats_floats():
+    # every table goes through io.write_csv, so every float keeps its one rule
+    found = [p.name for p in sorted(PACKAGE.glob("*.py")) if code_names(p.read_text())["repr"]]
+    assert found == ["io.py"]
+
+
 def test_only_track_solves_assignments():
     # the scorer and the trackers share one assignment routine,
     # track.associate_hungarian

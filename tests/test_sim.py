@@ -37,6 +37,11 @@ class TestSceneConfig:
         with pytest.raises(ConfigError):
             _cfg(fp_rate_per_frame=746.0)  # beyond rng.POISSON_MAX_RATE
 
+    @pytest.mark.parametrize("value", [-0.25, float("nan")])
+    def test_negative_or_nan_turn_sigma_is_config_error(self, value):
+        with pytest.raises(ConfigError):
+            _cfg(turn_sigma_rad=value)
+
     @pytest.mark.parametrize("name", ["fp_rate_per_frame", "jitter_sigma_cells"])
     def test_nan_noise_rate_is_config_error(self, name):
         with pytest.raises(ConfigError):

@@ -97,6 +97,20 @@ class TestBuildGraph:
         gaps = set((g.tails - g.heads).tolist())
         assert gaps == {1, 2}
 
+    @pytest.mark.parametrize("max_gap", [10**12, 2**63])
+    def test_max_gap_beyond_the_span_builds_the_span_graph(self, max_gap):
+        # no gap of the stream (frames from 2 on) exceeds its span, so a
+        # larger max_gap gives the same arcs, bit for bit
+        truth = generate_scene(SceneConfig(grid=GroundGrid(24, 24), num_agents=3,
+                                           num_frames=10, miss_rate=0.2, seed=2))
+        dets = [d for frame in corrupt_detections(truth)[2:] for d in frame]
+        span = max(d.time for d in dets) - min(d.time for d in dets)
+        want = build_graph(dets, None, EdgeCostParams(max_gap=span))
+        got = build_graph(dets, None, EdgeCostParams(max_gap=max_gap))
+        for name in ("heads", "tails", "trans"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert len(got.trans)
+
     def test_gate_scales_with_gap(self):
         # (0, 1) is 10 cells at gap 1, beyond reach 8; (0, 2) is 16 cells at
         # gap 2, within 2 x 8; the bound is inclusive
