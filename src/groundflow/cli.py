@@ -508,6 +508,9 @@ FIT_ARMS = {"full": (), "mot_only": ("lambda_fb", "lambda_se"), "no_se": ("lambd
 def cmd_ablate(args) -> int:
     workers = _workers()
     cfg = load_experiment_config(args.config)
+    if cfg.scene.num_frames < 2:
+        raise ConfigError(f"scene.num_frames = {cfg.scene.num_frames}: the loss-term arms "
+                          "fit the scene's pairs, so ablate needs at least 2 frames")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scenes = [_scene(cfg, seed) for seed in cfg.seeds]

@@ -194,15 +194,15 @@ class _Frame:
                                      *np.reshape(points, (-1, 2)).T.astype(np.float64))
         self.targets = {}
 
-    def target(self, rcfg: ReconstructionConfig, workspace: WarpWorkspace) -> np.ndarray:
-        """The frame's smoothed target at rcfg: the one kept for its
-        lambda_r, which the frame gives up, or else a new one, which it keeps."""
-        if rcfg.lambda_r not in self.targets:
-            target = smoothed_target(self.x, rcfg, plan=self.plan, workspace=workspace)
+    def target(self, lambda_r: float, workspace: WarpWorkspace) -> np.ndarray:
+        """The frame's smoothed target at lambda_r: the one kept for it,
+        which the frame gives up, or else a new one, which it keeps."""
+        if lambda_r not in self.targets:
+            target = smoothed_target(self.plan, lambda_r, workspace)
             nonzero = target != 0.0
-            self.targets[rcfg.lambda_r] = (np.packbits(nonzero), target[nonzero])
+            self.targets[lambda_r] = (np.packbits(nonzero), target[nonzero])
             return target
-        bits, values = self.targets.pop(rcfg.lambda_r)
+        bits, values = self.targets.pop(lambda_r)
         out = np.zeros(self.x.size)
         out[np.unpackbits(bits, count=out.size).view(bool)] = values
         return out.reshape(self.x.shape)
@@ -246,9 +246,9 @@ def _fit_pair(frame_t: _Frame, frame_t1: _Frame, workspace: WarpWorkspace, cfg: 
         rcfg = ReconstructionConfig(lambda_r, cfg.window_cells)
         # the smoothed targets depend on lambda_r only, so once the
         # schedule sits at its cap they are reused as they are
-        if rcfg.lambda_r != targets_lambda:
-            targets = (frame_t1.target(rcfg, workspace), frame_t.target(rcfg, workspace))
-            targets_lambda = rcfg.lambda_r
+        if lambda_r != targets_lambda:
+            targets = (frame_t1.target(lambda_r, workspace), frame_t.target(lambda_r, workspace))
+            targets_lambda = lambda_r
         out = loss_total(
             frame_t.x, frame_t1.x, (fdx, fdy), (bdx, bdy), frame_t.points, frame_t1.points,
             rcfg, cfg.weights, cfg.se_radius, plans=(frame_t.plan, frame_t1.plan),

@@ -285,17 +285,15 @@ def loss_total(x_t, x_t1, delta_fwd, delta_bwd, points_t, points_t1,
     if workspace is None:
         workspace = WarpWorkspace()
     if targets is None:
-        targets = (smoothed_target(xt1, cfg, plan=plans[1], workspace=workspace),
-                   smoothed_target(xt, cfg, plan=plans[0], workspace=workspace))
+        targets = (smoothed_target(plans[1], cfg.lambda_r, workspace),
+                   smoothed_target(plans[0], cfg.lambda_r, workspace))
 
     l_mot = l_se = 0.0
     mot, se = [], []
     for plan, (dx, dy), target, hoods_src in zip(plans, ((fdx, fdy), (bdx, bdy)), targets, hoods):
-        cache: dict = {}
-        res = reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, cache=cache,
-                                    workspace=workspace) - target
+        res = reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, workspace) - target
         l_mot += float((res * res).sum())
-        mot += grad_offsets_with_plan(plan, 2.0 * res, cfg.lambda_r, cache=cache)
+        mot += grad_offsets_with_plan(plan, 2.0 * res, cfg.lambda_r, workspace)
         l_se_src, *g_se = loss_se_grad_hoods(dx, dy, hoods_src)
         l_se += l_se_src
         se += g_se

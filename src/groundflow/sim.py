@@ -58,6 +58,9 @@ class SceneConfig:
             raise ConfigError("num_agents must be >= 1")
         if self.num_frames < 1:
             raise ConfigError("num_frames must be >= 1")
+        for name in ("turn_sigma_rad", "jitter_sigma_cells", "gaussian_radius_cells"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         lo, hi = self.speed_cells
         if not (0 <= lo <= hi):
             raise ConfigError("speed range must satisfy 0 <= min <= max")

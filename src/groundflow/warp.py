@@ -19,9 +19,8 @@ Every S x (2R + 1)^2 step (S nonzero sources) writes into the prefix
 views of a WarpWorkspace, so a fit that keeps one workspace allocates
 only when a pass outgrows it, not once per pass. The caller owns the
 workspace; the public one-shot functions use a throwaway one. A forward
-pass with a cache leaves its distances, weights and block indices in
-the workspace for the offset gradient, and the cache stays valid only
-until the next pass through the same workspace.
+pass records its plan, lambda_r and blocks in the workspace, where the
+offset gradient reads them, until the next pass through the workspace.
 
 Bit-reproducibility: each output cell accumulates its block
 contributions in row-major source order regardless of how the work is
@@ -32,6 +31,7 @@ without changing any bit of the result.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,9 +60,12 @@ def _uncapped_radius(lambda_r: float) -> int:
     W < EPSILON from the reach (10 + ln(1 / EPSILON)) / (4 * lambda_r) on.
     A block is centred on the cell nearest the displaced source, within
     1/2 of it per component, so a cell outside a radius-R block lies at
-    least R + 1/2 away: R is the smallest with R + 1/2 >= reach.
+    least R + 1/2 away: R is the smallest with R + 1/2 >= reach. A reach
+    that overflows (lambda_r below about 1e-308) counts as the largest
+    float, a radius beyond any window.
     """
-    return max(0, math.ceil(_REACH_EXPONENT / (4.0 * lambda_r) - 0.5))
+    reach = min(_REACH_EXPONENT / (4.0 * lambda_r), sys.float_info.max)
+    return max(0, math.ceil(reach - 0.5))
 
 
 def block_radius(lambda_r: float, window_cells: int) -> int:
@@ -177,23 +180,23 @@ class WarpWorkspace:
     flat and empty to begin with. A pass over S sources with blocks K
     cells wide uses their (S, K, K) prefix views, first dropping and
     regrowing the buffers when they are too small, so a workspace grows
-    to the largest pass of a fit. Each pass that fills the buffers takes
-    ownership of them (see claim); a forward cache holds the owner it
-    was given, and the offset gradient refuses a cache whose pass no
-    longer owns them.
+    to the largest pass of a fit. `forward` is (plan, lambda_r, blocks,
+    pad, dxb, dyb) of the last pass that claimed the buffers if that was
+    a forward pass (reconstruct_with_plan), and None otherwise.
     """
 
     def __init__(self):
-        self.owner = 0
+        self.forward = None
         self._bufs = tuple(np.empty(0, dtype=t) for t in _BLOCK_DTYPES)
 
     def claim(self, s: int, k: int) -> _Blocks:
-        """(s, k, k) views of the buffers for a new pass, which now owns them."""
+        """(s, k, k) views of the buffers for a new pass; drops `forward`
+        first, whose views would keep outgrown buffers alive."""
+        self.forward = None
         n = s * k * k
         if n > self._bufs[0].size:
             self._bufs = ()
             self._bufs = tuple(np.empty(n, dtype=t) for t in _BLOCK_DTYPES)
-        self.owner += 1
         return _Blocks(*(buf[:n].reshape(s, k, k) for buf in self._bufs))
 
 
@@ -258,27 +261,21 @@ def _padded_flat(a: np.ndarray, pad: int) -> np.ndarray:
 
 
 def reconstruct_with_plan(plan: WarpPlan, dx: np.ndarray, dy: np.ndarray,
-                          lambda_r: float, cache: dict | None = None,
-                          workspace: WarpWorkspace | None = None) -> np.ndarray:
+                          lambda_r: float, workspace: WarpWorkspace) -> np.ndarray:
     """Windowed forward pass using a prebuilt plan; returns an (h, w) array.
 
-    The S x K x K steps run in `workspace`, or in a throwaway one. If
-    `cache` is a dict, the pass records in it where its block layout,
-    distances and weights are, for the backward pass; they stay there
-    until the next pass through the same workspace.
+    The S x K x K steps run in `workspace`, which then records the pass
+    for the offset gradient. A plan without sources claims nothing and
+    leaves the record as it was.
     """
     if plan.num_sources == 0:
         return np.zeros((plan.h, plan.w))
-    if workspace is None:
-        workspace = WarpWorkspace()
     r = block_radius(lambda_r, plan.window)
     blocks = workspace.claim(plan.num_sources, 2 * r + 1)
     pad, dxb, dyb = _block_distances(plan.ys, plan.xs, dx, dy, r, blocks)
     wb = _weights_from_l(blocks.l, lambda_r, out=blocks.wb)
     contrib = np.multiply(plan.vals[:, None, None], wb, out=blocks.a)
-    if cache is not None:
-        cache.update(blocks=blocks, pad=pad, dxb=dxb, dyb=dyb, lambda_r=lambda_r,
-                     workspace=workspace, owner=workspace.owner)
+    workspace.forward = (plan, lambda_r, blocks, pad, dxb, dyb)
     return _scatter(plan.h, plan.w, pad, blocks.idx, contrib)
 
 
@@ -294,27 +291,25 @@ def _zero_offset_kernel(lambda_r: float, r: int) -> np.ndarray:
 
 
 def grad_offsets_with_plan(plan: WarpPlan, upstream: np.ndarray, lambda_r: float,
-                           cache: dict) -> tuple[np.ndarray, np.ndarray]:
+                           workspace: WarpWorkspace) -> tuple[np.ndarray, np.ndarray]:
     """d(loss)/d(offset components), supported on the plan's source cells.
 
-    `cache` is the dict that reconstruct_with_plan filled on the forward
-    pass at this lambda_r; no other pass may have gone through its
-    workspace since. The offset gradient is
+    Reads the forward pass that `workspace` records, which must be a pass
+    of this plan at this lambda_r (ValueError otherwise). The offset
+    gradient is
     x_i * sum_j upstream_j * W'(l) * (-(j - c_i) / l) with
     W'(l) = -4 * lambda_r * W * (1 - W); the direction factor is defined
     as zero where l < 1e-8. The pass uses the workspace's scratch buffers
-    and leaves the cached distances, weights and indices as they are.
+    and leaves the record, with its distances, weights and indices, as it is.
     """
     g_dx = np.zeros((plan.h, plan.w))
     g_dy = np.zeros((plan.h, plan.w))
     if plan.num_sources == 0:
         return g_dx, g_dy
-    if cache.get("lambda_r") != lambda_r:
-        raise ValueError("cache holds no forward pass of this plan at this lambda_r")
-    if cache["workspace"].owner != cache["owner"]:
-        raise ValueError("a later pass has overwritten the workspace of this forward pass")
-    blocks, pad = cache["blocks"], cache["pad"]
-    dxb, dyb, l, wb = cache["dxb"], cache["dyb"], blocks.l, blocks.wb
+    fwd_plan, fwd_lambda, blocks, pad, dxb, dyb = workspace.forward or (None,) * 6
+    if fwd_plan is not plan or fwd_lambda != lambda_r:
+        raise ValueError("the workspace holds no forward pass of this plan at this lambda_r")
+    l, wb = blocks.l, blocks.wb
 
     wprime = np.subtract(1.0, wb, out=blocks.a)
     wprime *= wb
@@ -362,7 +357,7 @@ def reconstruct(X, delta, cfg: ReconstructionConfig) -> np.ndarray:
             stacklevel=2,
         )
     plan = WarpPlan(values, cfg.window_cells)
-    return reconstruct_with_plan(plan, dx, dy, cfg.lambda_r)
+    return reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, WarpWorkspace())
 
 
 def reconstruct_dense(X, delta, lambda_r: float) -> np.ndarray:
@@ -394,24 +389,19 @@ def reconstruct_dense(X, delta, lambda_r: float) -> np.ndarray:
     return out.reshape(h, w)
 
 
-def smoothed_target(X_gt, cfg: ReconstructionConfig, plan: WarpPlan | None = None,
-                    workspace: WarpWorkspace | None = None) -> np.ndarray:
-    """Ground truth passed through the operator with zero offsets.
+def smoothed_target(plan: WarpPlan, lambda_r: float, workspace: WarpWorkspace) -> np.ndarray:
+    """The plan's heatmap passed through the operator with zero offsets.
 
     Gives targets the same lambda_r-dependent blur as predictions. Bitwise
     identical to reconstruct_with_plan with zero offset arrays: with
     delta = 0 every block is centred on its source and its weights are
     one shared radial kernel of the integer block offsets. Runs in
-    `workspace`, or in a throwaway one.
+    `workspace` as a pass that records no forward pass.
     """
-    if plan is None:
-        plan = WarpPlan(_values_of(X_gt), cfg.window_cells)
     if plan.num_sources == 0:
         return np.zeros((plan.h, plan.w))
-    if workspace is None:
-        workspace = WarpWorkspace()
-    r = block_radius(cfg.lambda_r, plan.window)
-    kernel = _zero_offset_kernel(float(cfg.lambda_r), r)
+    r = block_radius(lambda_r, plan.window)
+    kernel = _zero_offset_kernel(float(lambda_r), r)
     blocks = workspace.claim(plan.num_sources, 2 * r + 1)
     pad = _flat_blocks(plan.ys, plan.xs, r, plan.w, blocks.idx)
     contrib = np.multiply(plan.vals[:, None, None], kernel[None, :, :], out=blocks.a)

@@ -23,6 +23,7 @@ from groundflow.track import MEAS_NOISE, PROCESS_NOISE, EdgeCostParams
 from groundflow.warp import (
     ReconstructionConfig,
     WarpPlan,
+    WarpWorkspace,
     _check_shapes,
     _offsets_of,
     _values_of,
@@ -102,10 +103,16 @@ def square_iou(c1, c2, side: float) -> float:
     return inter / union if union > 0 else 0.0
 
 
+def smoothed(X, cfg: ReconstructionConfig) -> np.ndarray:
+    """smoothed_target of one heatmap, through a throwaway plan and workspace."""
+    return smoothed_target(WarpPlan(_values_of(X), cfg.window_cells), cfg.lambda_r,
+                           WarpWorkspace())
+
+
 def loss_mot(X_hat, X_gt, cfg: ReconstructionConfig) -> float:
     """Squared L2 between a reconstruction and the smoothed ground truth."""
     xh = np.asarray(X_hat, dtype=np.float64)
-    target = smoothed_target(X_gt, cfg)
+    target = smoothed(X_gt, cfg)
     _same_shape(xh, target, "motion loss")
     d = xh - target
     return float((d * d).sum())
@@ -137,9 +144,9 @@ def reconstruct_backward(X, delta, cfg: ReconstructionConfig,
     if upstream.shape != values.shape:
         raise DimensionMismatch("upstream gradient must have the grid's shape")
     plan = WarpPlan(values, cfg.window_cells)
-    cache: dict = {}
-    reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, cache)
-    return grad_offsets_with_plan(plan, upstream, cfg.lambda_r, cache)
+    workspace = WarpWorkspace()
+    reconstruct_with_plan(plan, dx, dy, cfg.lambda_r, workspace)
+    return grad_offsets_with_plan(plan, upstream, cfg.lambda_r, workspace)
 
 
 def load_trajectories(path) -> list[Trajectory]:

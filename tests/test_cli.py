@@ -449,6 +449,15 @@ class TestFitTrack:
         err = capsys.readouterr().err
         assert f"--stride {stride}" in err and "6 frames" in err
 
+    def test_vanishing_initial_lambda_fits(self, tmp_path):
+        # 1e-310 overflows the block reach; the window caps the radius
+        cfg = tmp_path / "soft.cfg"
+        cfg.write_text(TINY + "fit.schedule_init = 1e-310\n")
+        scene = tmp_path / "scene"
+        assert _run("simulate", "--config", str(cfg), "--out", str(scene)) == 0
+        assert _run("fit", "--scene", str(scene), "--out", str(tmp_path / "fit"),
+                    "--config", str(cfg)) == 0
+
     def test_max_gap_beyond_the_scene_tracks_its_span(self, tiny_cfg, tmp_path):
         # no gap of the 6-frame scene reaches 6, so 10**11 tracks as 6 does
         scene = tmp_path / "scene"
@@ -661,6 +670,14 @@ class TestAblateCommand:
         assert [ln.split(",")[1] for ln in motion[1:]] == ["mussp", "mussp-nomotion"]
         for name in ("ablation_fit.csv", "ablation_motion_term.csv"):
             assert (out / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    def test_one_frame_scene_is_config_error(self, tiny_cfg, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(TINY.replace("scene.num_frames = 6", "scene.num_frames = 1"))
+        out = tmp_path / "abl"
+        assert _run("ablate", "--config", str(cfg), "--out", str(out)) == 2
+        assert not out.exists()
+        assert "scene.num_frames" in capsys.readouterr().err
 
     def test_arm_weights(self, tmp_path, monkeypatch):
         p = tmp_path / "abl.cfg"

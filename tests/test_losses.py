@@ -12,8 +12,8 @@ from groundflow.losses import (
 )
 from groundflow.sim import render_heatmap
 from groundflow.core import GroundGrid
-from groundflow.warp import ReconstructionConfig, reconstruct, smoothed_target
-from oracles import loss_fb, loss_mot, loss_se
+from groundflow.warp import ReconstructionConfig, reconstruct
+from oracles import loss_fb, loss_mot, loss_se, smoothed
 
 
 class TestLossMot:
@@ -21,7 +21,7 @@ class TestLossMot:
         rng = np.random.default_rng(1)
         x_gt = (rng.random((12, 12)) < 0.1) * rng.random((12, 12))
         cfg = ReconstructionConfig(5.0, 15)
-        target = smoothed_target(x_gt, cfg)
+        target = smoothed(x_gt, cfg)
         assert loss_mot(target, x_gt, cfg) == 0.0
 
     def test_unmoved_agent_leaves_two_peaks(self):
@@ -34,8 +34,8 @@ class TestLossMot:
         zeros = np.zeros((24, 24))
         xhat = reconstruct(x_t, (zeros, zeros), cfg)
         val = loss_mot(xhat, x_t1, cfg)
-        smoothed = smoothed_target(x_t.values, cfg)
-        expected = 2.0 * float((smoothed ** 2).sum())
+        target = smoothed(x_t.values, cfg)
+        expected = 2.0 * float((target ** 2).sum())
         assert abs(val - expected) / expected < 0.02
 
 

@@ -47,6 +47,14 @@ class TestSceneConfig:
         with pytest.raises(ConfigError):
             _cfg(**{name: float("nan")})
 
+    @pytest.mark.parametrize("name, value", [
+        ("turn_sigma_rad", math.inf), ("jitter_sigma_cells", math.inf),
+        ("gaussian_radius_cells", math.nan), ("gaussian_radius_cells", math.inf),
+    ])
+    def test_non_finite_scene_value_is_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            _cfg(**{name: value})
+
 
 class TestPoisson:
     def test_rate_limit(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from groundflow.warp import (
     ReconstructionConfig,
     WarpPlan,
     WarpWorkspace,
+    block_radius,
     grad_offsets_with_plan,
     reconstruct,
     reconstruct_dense,
@@ -153,6 +155,17 @@ class TestReconstructWindowed:
         with pytest.warns(RuntimeWarning, match="caps"):
             reconstruct(X, (zeros, zeros), ReconstructionConfig(0.16, 21))
 
+    @pytest.mark.parametrize("lam", [5e-324, 1e-310])
+    def test_vanishing_lambda_gets_the_window_radius(self, lam):
+        # the reach 44.5 / (4 lambda) overflows below about 1e-308; every
+        # weight of the window-capped block is then W(0)
+        assert block_radius(lam, 21) == 10
+        X = _peak(16, 16, 8, 8)
+        zeros = np.zeros((16, 16))
+        with pytest.warns(RuntimeWarning, match="caps"):
+            out = reconstruct(X, (zeros, zeros), ReconstructionConfig(lam, 21))
+        assert np.all(out == weight(0.0, lam))
+
     def test_offsets_beyond_window_radius_stay_exact(self):
         # lambda 5 needs a radius of 2 cells, which window 9 allows; the
         # block follows the source 9 cells out, past the window radius
@@ -186,7 +199,8 @@ class TestSmoothedTarget:
         X = (rng.random((20, 20)) < 0.1) * rng.random((20, 20))
         cfg = ReconstructionConfig(1.4, 15)   # needs a radius of 8 cells; 15 caps it at 7
         zeros = np.zeros((20, 20))
-        assert np.array_equal(smoothed_target(X, cfg), _reconstruct_capped(X, (zeros, zeros), cfg))
+        got = smoothed_target(WarpPlan(X, cfg.window_cells), cfg.lambda_r, WarpWorkspace())
+        assert np.array_equal(got, _reconstruct_capped(X, (zeros, zeros), cfg))
 
 
 class TestReconstructBackward:
@@ -244,14 +258,14 @@ class TestReconstructBackward:
     def test_offset_gradient_needs_the_forward_pass_at_its_lambda(self):
         plan = WarpPlan(_peak(6, 6, 2, 3), 9)
         zeros = np.zeros((6, 6))
-        cache: dict = {}
-        reconstruct_with_plan(plan, zeros, zeros, 2.0, cache)
-        for lam, forward in ((5.0, cache), (2.0, {})):
+        workspace = WarpWorkspace()
+        reconstruct_with_plan(plan, zeros, zeros, 2.0, workspace)
+        for lam, forward in ((5.0, workspace), (2.0, WarpWorkspace())):
             with pytest.raises(ValueError):
                 grad_offsets_with_plan(plan, np.ones((6, 6)), lam, forward)
 
     def test_offset_gradient_needs_the_workspace_its_forward_pass_filled(self):
-        # a later pass through the shared workspace overwrites the cached blocks
+        # a later pass of another plan through the workspace drops the record
         plan = WarpPlan(_peak(6, 6, 2, 3), 9)
         other = WarpPlan(_peak(6, 6, 4, 1) + _peak(6, 6, 0, 5), 9)
         zeros = np.zeros((6, 6))
@@ -259,25 +273,41 @@ class TestReconstructBackward:
         up = np.arange(36.0).reshape(6, 6)
         alone = grad_offsets_with_plan(plan, up, 2.0, self._forward(plan, shift, WarpWorkspace()))
         later_passes = (
-            lambda ws: reconstruct_with_plan(other, zeros, zeros, 2.0, workspace=ws),
-            lambda ws: reconstruct_with_plan(plan, shift, shift, 2.0, workspace=ws),
-            lambda ws: smoothed_target(other.vals, ReconstructionConfig(2.0, 9), other, ws),
+            lambda ws: reconstruct_with_plan(other, zeros, zeros, 2.0, ws),
+            lambda ws: smoothed_target(other, 2.0, ws),
         )
         for later in later_passes:
-            ws = WarpWorkspace()
-            cache = self._forward(plan, shift, ws)
+            ws = self._forward(plan, shift, WarpWorkspace())
             later(ws)
             with pytest.raises(ValueError):
-                grad_offsets_with_plan(plan, up, 2.0, cache)
+                grad_offsets_with_plan(plan, up, 2.0, ws)
+        # a later forward pass of the same plan is the one the gradient reads
+        ws = self._forward(plan, zeros, WarpWorkspace())
+        assert grad_offsets_with_plan(plan, up, 2.0, ws)[0].tobytes() != alone[0].tobytes()
+        self._forward(plan, shift, ws)
         # a gradient pass leaves the forward pass's blocks in place
-        ws = WarpWorkspace()
-        cache = self._forward(plan, shift, ws)
         for _ in range(2):
-            g_dx, g_dy = grad_offsets_with_plan(plan, up, 2.0, cache)
+            g_dx, g_dy = grad_offsets_with_plan(plan, up, 2.0, ws)
             assert g_dx.tobytes() == alone[0].tobytes() and g_dy.tobytes() == alone[1].tobytes()
+
+    def test_a_growing_workspace_frees_its_outgrown_buffers_first(self):
+        # the record of a forward pass holds views of the buffers, which must
+        # not keep them alive while the grown ones are allocated
+        ws = WarpWorkspace()
+        zeros = np.zeros((16, 16))
+        tracemalloc.start()
+        try:
+            reconstruct_with_plan(WarpPlan(_peak(16, 16, 8, 8), 21), zeros, zeros, 0.16, ws)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ws.claim(100, 21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outgrown, grown = (21 * 21 * 41 * s for s in (1, 100))   # 41 bytes per block cell
+        assert peak - before < grown - outgrown / 2
 
     @staticmethod
     def _forward(plan, shift, workspace):
-        cache: dict = {}
-        reconstruct_with_plan(plan, shift, shift, 2.0, cache, workspace=workspace)
-        return cache
+        reconstruct_with_plan(plan, shift, shift, 2.0, workspace)
+        return workspace

@@ -111,15 +111,57 @@ def test_a_reused_workspace_gives_the_bytes_of_a_fresh_one(seed, steps):
         if rng.random() < 0.5:   # whole-cell offsets put l = 0 in every block
             dx, dy = np.rint(dx), np.rint(dy)
         if kind == "target":
-            cfg = ReconstructionConfig(lam, window)
-            got = smoothed_target(plan.vals, cfg, plan, ws)
-            assert got.tobytes() == smoothed_target(plan.vals, cfg, plan).tobytes()
+            got = smoothed_target(plan, lam, ws)
+            assert got.tobytes() == smoothed_target(plan, lam, WarpWorkspace()).tobytes()
             continue
-        cache, fresh = {}, {}
-        got = reconstruct_with_plan(plan, dx, dy, lam, cache, workspace=ws)
+        fresh = WarpWorkspace()
+        got = reconstruct_with_plan(plan, dx, dy, lam, ws)
         assert got.tobytes() == reconstruct_with_plan(plan, dx, dy, lam, fresh).tobytes()
         if kind == "gradient":
             up = rng.normal(size=(SIZE, SIZE))
-            for g, want in zip(grad_offsets_with_plan(plan, up, lam, cache),
+            for g, want in zip(grad_offsets_with_plan(plan, up, lam, ws),
                                grad_offsets_with_plan(plan, up, lam, fresh)):
                 assert g.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=seeds, second=st.sampled_from(["empty", "same heatmap", "denser"]), steps=st.lists(
+    st.tuples(st.sampled_from(["forward", "gradient", "target"]), st.integers(0, 1),
+              st.sampled_from([2.0, 5.0])),
+    min_size=1, max_size=12))
+def test_the_gradient_reads_the_last_claiming_pass_if_it_is_its_forward_pass(seed, second, steps):
+    # the second plan has no sources, or the first one's heatmap (so the
+    # gradient must tell plans apart by identity), or more sources
+    x = _scene(seed, 0.15, 0.0)[0]
+    x[3, 4] = 0.7
+    values = {"empty": np.zeros_like(x), "same heatmap": x,
+              "denser": _scene(seed, 0.4, 0.0)[0]}[second]
+    plans = [WarpPlan(x, 21), WarpPlan(values, 21)]
+    rng = np.random.default_rng(seed)
+    ws = WarpWorkspace()
+    record = None   # (plan, lambda_r, dx, dy) of the last claiming pass, if a forward pass
+    _, last, last_lam = steps[-1]   # end with both plans' gradients at the last lambda
+    tail = [("gradient", last, last_lam), ("gradient", 1 - last, last_lam)]
+    for kind, which, lam in steps + tail:
+        plan = plans[which]
+        if kind == "gradient":
+            up = rng.normal(size=(SIZE, SIZE))
+            if plan.num_sources == 0:
+                assert not any(g.any() for g in grad_offsets_with_plan(plan, up, lam, ws))
+            elif record is None or record[0] is not plan or record[1] != lam:
+                with pytest.raises(ValueError, match="no forward pass of this plan"):
+                    grad_offsets_with_plan(plan, up, lam, ws)
+            else:
+                fresh = WarpWorkspace()
+                reconstruct_with_plan(plan, record[2], record[3], lam, fresh)
+                for g, want in zip(grad_offsets_with_plan(plan, up, lam, ws),
+                                   grad_offsets_with_plan(plan, up, lam, fresh)):
+                    assert g.tobytes() == want.tobytes()
+            continue
+        dx, dy = rng.uniform(-6.0, 6.0, (2, SIZE, SIZE))
+        if kind == "forward":
+            reconstruct_with_plan(plan, dx, dy, lam, ws)
+        else:
+            smoothed_target(plan, lam, ws)
+        if plan.num_sources:   # a pass over no sources claims nothing
+            record = (plan, lam, dx, dy) if kind == "forward" else None
