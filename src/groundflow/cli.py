@@ -30,7 +30,6 @@ from .pipeline import (
     fit_report_vs_truth,
     fit_scene_offsets,
     run_tracking_point,
-    stride_adapted,
     stride_gated,
     track_detections,
     zero_offset_report,
@@ -263,14 +262,11 @@ def load_fields(path, grid: GroundGrid) -> list[OffsetField]:
             for k in range(len(channels) // 2)]
 
 
-def _fit(scene: SceneConfig, detections, fit_cfg: FitConfig, stride: int,
-         workers: int) -> list[FitResult]:
-    """The offset fields of each frame pair of `detections`, the stride-th
-    frames of `scene`, fitted by `workers` processes with the schedule
-    softened for the stride."""
-    return fit_scene_offsets(detections, scene.grid, stride_adapted(fit_cfg, stride),
-                             scene.gaussian_sigma_cells, scene.gaussian_radius_cells,
-                             workers=workers)
+def _fit(scene: SceneConfig, detections, fit_cfg: FitConfig, workers: int) -> list[FitResult]:
+    """The offset fields of each frame pair of `detections`, frames of
+    `scene` at any stride, fitted by `workers` processes."""
+    return fit_scene_offsets(detections, scene.grid, fit_cfg, scene.gaussian_sigma_cells,
+                             scene.gaussian_radius_cells, workers=workers)
 
 
 def cmd_fit(args) -> int:
@@ -281,7 +277,7 @@ def cmd_fit(args) -> int:
                           f"{cfg.scene.num_frames} frames; a fit needs at least 2")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results = _fit(cfg.scene, detections, cfg.fit, args.stride, workers)
+    results = _fit(cfg.scene, detections, cfg.fit, workers)
     _save_fields(out / "offsets_fwd.bin", [r.fwd for r in results])
     _save_fields(out / "offsets_bwd.bin", [r.bwd for r in results])
     traces = out / "traces"
@@ -396,7 +392,7 @@ def _sweep_points(cfg: ExperimentConfig, scene: SceneConfig, truth, detections,
     The modes that read offsets share one fit of the stride's frames."""
     fit_results = None
     if any(m in FIT_MODES for m in cfg.modes):
-        fit_results = _fit(scene, subsample_fps(detections, stride), cfg.fit, stride, workers)
+        fit_results = _fit(scene, subsample_fps(detections, stride), cfg.fit, workers)
     return [run_tracking_point(scene, stride, mode, cfg.fit, cfg.edges, cfg.two_stage,
                                cfg.dist_threshold, truth=truth, detections=detections,
                                fit_results=fit_results)[0]
@@ -500,7 +496,11 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------- ablate
 
 # Each loss-term arm and the LossWeights fields it sets to zero. no_mot fits
-# nothing: without the consistency term no offset moves off zero.
+# nothing and scores the zero field: without the consistency term a pair
+# that does not start (see the fit module) keeps its zero offsets, and a
+# started pair would keep what the fb and se terms make of its detection
+# matches, which measures the start, not the loss. The arms fit at stride 1,
+# where no pair of the default scene starts.
 FIT_ARMS = {"full": (), "mot_only": ("lambda_fb", "lambda_se"), "no_se": ("lambda_se",),
             "no_fb": ("lambda_fb",), "no_mot": None}
 
@@ -522,7 +522,7 @@ def cmd_ablate(args) -> int:
                 rep = zero_offset_report(truth)
             else:
                 weights = replace(cfg.fit.weights, **dict.fromkeys(zeroed, 0.0))
-                results = _fit(scene, detections, replace(cfg.fit, weights=weights), 1, workers)
+                results = _fit(scene, detections, replace(cfg.fit, weights=weights), workers)
                 rep = fit_report_vs_truth(results, truth)
             by_arm[arm].append(rep)
             rows.append((arm, scene.seed, rep.l1, rep.angle_deg, rep.norm_err))

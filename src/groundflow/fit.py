@@ -1,10 +1,23 @@
 """Gradient-based fitting of offset fields from detection supervision.
 
 The offset fields of each frame pair (forward and backward) are free
-variables initialized to zero and optimized directly against the
-composite loss. This isolates the detection-only supervision mechanism:
-no motion annotations enter anywhere, the warp consistency term alone
-has to discover the motion.
+variables optimized directly against the composite loss. No motion
+annotations enter anywhere: the supervision is the detections alone.
+
+A pair starts from zero offsets at the schedule's first lambda_r, whose
+weight falls to one half at 10 / (4 * lambda_r) cells, unless its
+detections move farther than that. Before epoch 0 the pair's points at t
+are matched one-to-one to those at t+1 (least total distance, no match
+longer than the clamp). If the median matched distance exceeds the
+first lambda_r's half-weight distance, the pair is started: each match's
+displacement d fills the forward field on the se neighbourhood of its
+point at t, -d fills the backward field on that of its point at t+1,
+and the schedule runs from START_LAMBDA, or from its own first lambda_r
+if that is sharper, and never past its cap. Any other pair runs from
+zero, where the soft start lets the warp term discover the motion. At
+full frame rate no pair of the default scene starts: there a sharp
+start, from matches or from zero, lost tracks of nearby agents on some
+seeds, while at stride 5 every pair starts.
 
 The pairs' fits are independent of one another, and the lambda_r
 schedule advances once per epoch. A pair's four offset components (fdx,
@@ -40,7 +53,7 @@ lambda_r is so soft that the window caps the block radius (lambda_r <
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +66,7 @@ from .losses import (
     loss_total,
     se_neighborhoods,
 )
+from .track import associate_hungarian
 from .warp import (
     ReconstructionConfig,
     WarpPlan,
@@ -67,6 +81,10 @@ from .warp import (
 # several epochs catches a slow drift that each epoch's move hides.
 SETTLE_EPOCHS = 5
 SETTLED_STEP_FRACTION = 0.5
+
+# The first lambda_r of a started pair (see the module docstring). Its
+# block radius is 6 cells, so no window of 13 or more caps the block.
+START_LAMBDA = 2.0
 
 
 @dataclass(frozen=True)
@@ -224,6 +242,39 @@ def _fit_run(pairs: list, cfg: FitConfig, grid: GroundGrid | None,
     return results
 
 
+def _matches(points_t, points_t1, clamp: float):
+    """The one-to-one matches of least total distance from the points at t
+    to those at t+1, none longer than `clamp`: the matched indices i and j
+    in the order of i, and the (k, 2) displacements points_t1[j] -
+    points_t[i]."""
+    a = np.reshape(points_t, (-1, 2)).astype(np.float64)
+    b = np.reshape(points_t1, (-1, 2)).astype(np.float64)
+    diff = b[None, :, :] - a[:, None, :]
+    matched = associate_hungarian(np.hypot(diff[..., 0], diff[..., 1]), cutoff=clamp)
+    i, j = np.array(matched, dtype=np.int64).reshape(-1, 2).T
+    return i, j, diff[i, j]
+
+
+def _start(frame_t: _Frame, frame_t1: _Frame, schedule: LambdaSchedule, clamp: float):
+    """A pair's first offsets, as the rows (fdx, fdy, bdx, bdy) of one
+    (4, h, w) array, and the schedule it runs: zero offsets and
+    `schedule`, or, for a started pair, its matches' displacements and the
+    schedule from START_LAMBDA (see the module docstring)."""
+    h, w = frame_t.x.shape
+    i, j, d = _matches(frame_t.points, frame_t1.points, clamp)
+    if not len(d) or np.median(np.hypot(d[:, 0], d[:, 1])) <= 10.0 / (4.0 * schedule.init):
+        return np.zeros((4, h, w)), schedule
+    # the last column takes the writes of the neighbourhoods' padding, h * w;
+    # where neighbourhoods overlap, the later match's displacement stays
+    flat = np.zeros((4, h * w + 1))
+    for cells_t, cells_t1, (dx, dy) in zip(frame_t.hoods[i], frame_t1.hoods[j], d):
+        flat[0, cells_t], flat[1, cells_t] = dx, dy
+        flat[2, cells_t1], flat[3, cells_t1] = -dx, -dy
+    params = np.clip(flat[:, :-1], -clamp, clamp).reshape(4, h, w)
+    lambda_0 = max(schedule.init, min(START_LAMBDA, schedule.cap))
+    return params, replace(schedule, init=lambda_0)
+
+
 def _fit_pair(frame_t: _Frame, frame_t1: _Frame, workspace: WarpWorkspace, cfg: FitConfig,
               grid: GroundGrid | None, pair_index: int) -> FitResult:
     """Fit the pair of two frames until its read-out settles (see the
@@ -231,16 +282,16 @@ def _fit_pair(frame_t: _Frame, frame_t1: _Frame, workspace: WarpWorkspace, cfg: 
     h, w = frame_t.x.shape
     if grid is None:
         grid = GroundGrid(w, h)
-    params = np.zeros((4, h, w))
-    fdx, fdy, bdx, bdy = params  # views: the steps below update them in place
-    opt = _AdaptiveMoments(cfg.learning_rate, params.shape)
     radius = (cfg.window_cells - 1) // 2
     clamp = float(radius)
+    params, schedule = _start(frame_t, frame_t1, cfg.schedule, clamp)
+    fdx, fdy, bdx, bdy = params  # views: the steps below update them in place
+    opt = _AdaptiveMoments(cfg.learning_rate, params.shape)
     last_halving = max(cfg.lr_halving_epochs, default=-1)
     readouts = deque(maxlen=SETTLE_EPOCHS + 1)
     trace = []
     targets, targets_lambda = None, None
-    for epoch, lambda_r in enumerate(cfg.schedule.values(cfg.epochs)):
+    for epoch, lambda_r in enumerate(schedule.values(cfg.epochs)):
         if epoch in cfg.lr_halving_epochs:
             opt.lr *= 0.5
         rcfg = ReconstructionConfig(lambda_r, cfg.window_cells)

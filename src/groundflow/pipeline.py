@@ -36,16 +36,15 @@ REACH_CELLS_PER_FRAME = 16.0
 
 
 def stride_adapted(fit_cfg: FitConfig, stride: int) -> FitConfig:
-    """Scale the soft end of the annealing schedule with the frame stride.
+    """The fit config of a stride-s sequence: `fit_cfg` unchanged, at any
+    stride.
 
-    The weight function's pull reach is proportional to 1/lambda_r; a
-    stride-s sequence moves s times farther per pair, so the schedule
-    starts s times softer (the cap, i.e. final precision, is unchanged).
+    The fit itself starts each pair whose detections move beyond the first
+    lambda_r's reach from their matches at a sharp lambda_r (see the `fit`
+    module docstring), so a stride needs no softer schedule. The name
+    stays for the callers that fit at a stride.
     """
-    if stride <= 1:
-        return fit_cfg
-    return replace(fit_cfg, schedule=replace(fit_cfg.schedule,
-                                              init=fit_cfg.schedule.init / stride))
+    return fit_cfg
 
 
 def stride_gated(edges: EdgeCostParams, stride: int) -> EdgeCostParams:
@@ -192,8 +191,8 @@ def run_tracking_point(scene_cfg: SceneConfig, stride: int, mode: str,
     sub_dets = subsample_fps(detections, stride)
     if mode in FIT_MODES and fit_results is None:
         fit_results = fit_scene_offsets(
-            sub_dets, scene_cfg.grid, stride_adapted(fit_cfg, stride),
-            scene_cfg.gaussian_sigma_cells, scene_cfg.gaussian_radius_cells,
+            sub_dets, scene_cfg.grid, fit_cfg, scene_cfg.gaussian_sigma_cells,
+            scene_cfg.gaussian_radius_cells,
         )
     tracks = track_detections(sub_dets, mode, fit_results=fit_results,
                               edges=stride_gated(edges, stride), two_stage=two_stage)

@@ -351,7 +351,7 @@ def reconstruct(X, delta, cfg: ReconstructionConfig) -> np.ndarray:
     needed = _uncapped_radius(cfg.lambda_r)
     if needed > cfg.window_radius:
         warnings.warn(
-            f"lambda_r {cfg.lambda_r:g} needs a block radius of {needed} cells but the "
+            f"lambda_r {cfg.lambda_r:g} needs a block radius of {needed:g} cells but the "
             f"window caps it at {cfg.window_radius}; weights above {EPSILON:g} are cut off",
             RuntimeWarning,
             stacklevel=2,

@@ -9,7 +9,7 @@ from groundflow import pipeline
 from groundflow.core import GroundGrid
 from groundflow.cli import load_experiment_config
 from groundflow.errors import Divergence
-from groundflow.fit import FitConfig, FitPair, finite_diff_check, fit_offsets
+from groundflow.fit import START_LAMBDA, FitConfig, FitPair, finite_diff_check, fit_offsets
 from groundflow.losses import LambdaSchedule, LossWeights, loss_fb_grad, loss_total
 from groundflow.sim import SceneConfig, corrupt_detections, generate_scene, render_heatmap
 from groundflow.warp import ReconstructionConfig, _uncapped_radius
@@ -73,6 +73,30 @@ def _assert_same_bits(r1, r2):
         assert f1.dx.tobytes() == f2.dx.tobytes()
         assert f1.dy.tobytes() == f2.dy.tobytes()
     assert r1.trace == r2.trace
+
+
+def _check_worker_invariant(speed, first_lambdas):
+    """Fits a scene's pairs at workers 1 and 2, alone and in reverse, and
+    checks the same bits; `first_lambdas` tells which pairs start."""
+    cfg_s = SceneConfig(grid=GroundGrid(24, 24), num_agents=3, num_frames=4,
+                        speed_cells=speed, turn_sigma_rad=0.1, seed=9)
+    truth = generate_scene(cfg_s)
+    pairs = _pairs_from_truth(truth)
+    fit_cfg = FitConfig(epochs=25, learning_rate=0.05, window_cells=15)
+    a = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=1)
+    assert [r.trace[0]["lambda_r"] for r in a] == first_lambdas
+    b = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=1)
+    c = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=2)
+    for ra, rb, rc in zip(a, b, c):
+        _assert_same_bits(ra, rb)
+        _assert_same_bits(ra, rc)
+    # consecutive pairs hand their shared frame's targets on, but that
+    # saves work only: a pair fitted after another, or in reverse
+    # order, gives the bits it gives alone
+    for k, ra in enumerate(a):
+        _assert_same_bits(fit_offsets(pairs[k:k + 1], fit_cfg, cfg_s.grid)[0], ra)
+    for rr, ra in zip(fit_offsets(pairs[::-1], fit_cfg, cfg_s.grid), a[::-1]):
+        _assert_same_bits(rr, ra)
 
 
 class TestFiniteDiffCheck:
@@ -165,23 +189,13 @@ class TestFitOffsets:
         assert all(row["total"] == 0.0 for row in result.trace)
 
     def test_deterministic_and_worker_invariant(self):
-        cfg_s = SceneConfig(grid=GroundGrid(24, 24), num_agents=3, num_frames=4,
-                            speed_cells=(1.0, 1.5), turn_sigma_rad=0.1, seed=9)
-        truth = generate_scene(cfg_s)
-        pairs = _pairs_from_truth(truth)
-        fit_cfg = FitConfig(epochs=25, learning_rate=0.05, window_cells=15)
-        a = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=1)
-        b = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=1)
-        c = fit_offsets(pairs, fit_cfg, cfg_s.grid, workers=2)
-        for ra, rb, rc in zip(a, b, c):
-            _assert_same_bits(ra, rb)
-            _assert_same_bits(ra, rc)
-        # consecutive pairs hand their shared frame's targets on, but that
-        # saves work only: a pair fitted after another, or in reverse
-        # order, gives the bits it gives alone
-        _assert_same_bits(fit_offsets(pairs[1:2], fit_cfg, cfg_s.grid)[0], a[1])
-        for rr, ra in zip(fit_offsets(pairs[::-1], fit_cfg, cfg_s.grid), a[::-1]):
-            _assert_same_bits(rr, ra)
+        # slow agents: no pair starts
+        _check_worker_invariant((1.0, 1.5), [0.8, 0.8, 0.8])
+
+    def test_started_pairs_are_deterministic_and_worker_invariant(self):
+        # at 3.5-4.5 cells a frame pairs 0 and 2 start; pair 1, where two
+        # agents turn at the border, does not
+        _check_worker_invariant((3.5, 4.5), [START_LAMBDA, 0.8, START_LAMBDA])
 
     def test_pool_is_capped_at_the_pair_count(self, inline_pool):
         z = np.zeros((8, 8))
@@ -215,6 +229,18 @@ class TestFitOffsets:
         result = fit_offsets([pair], cfg, g)[0]
         assert np.abs(result.fwd.dx).max() <= 4.0 + 1e-12
         assert np.abs(result.fwd.dy).max() <= 4.0 + 1e-12
+
+    @pytest.mark.parametrize("init,cap,first", [(0.8, 1.5, 1.5), (3.0, 5.0, 3.0)])
+    def test_started_pair_keeps_within_its_schedule(self, init, cap, first):
+        # a pair 6 cells apart starts, at START_LAMBDA unless the schedule's
+        # cap is softer or its own start sharper
+        g = GroundGrid(24, 24)
+        pts = [(6.0, 12.0), (12.0, 12.0)]
+        maps = [render_heatmap([p], g, 1.0, 3.0).values for p in pts]
+        pair = FitPair(maps[0], maps[1], (pts[0],), (pts[1],))
+        cfg = FitConfig(epochs=3, window_cells=15,
+                        schedule=LambdaSchedule(init=init, increment=0.08, cap=cap))
+        assert fit_offsets([pair], cfg, g)[0].trace[0]["lambda_r"] == first
 
     def test_non_finite_loss_is_divergence(self):
         # one NaN in the later heatmap of the second pair makes that pair's

@@ -155,6 +155,16 @@ class TestReconstructWindowed:
         with pytest.warns(RuntimeWarning, match="caps"):
             reconstruct(X, (zeros, zeros), ReconstructionConfig(0.16, 21))
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e-310])
+    def test_cap_warning_stays_short_at_vanishing_lambda(self, lam):
+        # the radius needed is a 300-digit integer here; the message
+        # rounds it to six significant digits
+        X = _peak(16, 16, 8, 8)
+        zeros = np.zeros((16, 16))
+        with pytest.warns(RuntimeWarning, match="caps") as caught:
+            reconstruct(X, (zeros, zeros), ReconstructionConfig(lam, 21))
+        assert all(len(str(w.message)) < 160 for w in caught)
+
     @pytest.mark.parametrize("lam", [5e-324, 1e-310])
     def test_vanishing_lambda_gets_the_window_radius(self, lam):
         # the reach 44.5 / (4 lambda) overflows below about 1e-308; every
