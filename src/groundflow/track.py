@@ -10,6 +10,15 @@ distance for the chaining baselines, 1 - IoU for the two-stage tracker.
 `metrics.clear_mot` scores with `associate_hungarian` too. Both trackers
 read a fitted field with one `losses.bilinear_sampler` per frame.
 
+Every assignment in the package has one sparse solver, scipy's LAPJVsp
+(`min_weight_full_bipartite_matching`), called by `_cheapest_assignment`
+on CSR arrays that it shifts positive. The flow tracker's path cover and
+`associate_hungarian` both pose it with one exit column per row: a
+track's end in the one, an unmatched row at `_FORBIDDEN` in the other.
+`associate_hungarian` needs it only when two rows' least allowed pairs
+share a column and two columns' share a row, and even then it takes the
+pairs alone in their row and column without it.
+
 The flow tracker charges every track one entry and one exit cost, kept
 only in the graph's `EdgeCostParams`, and every detection an observation
 cost (negative; it rewards confident detections). It joins detections
@@ -43,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
@@ -208,8 +216,9 @@ def _tracks_to_trajectories(g: TrackingGraph, tracks: list[list[int]]) -> list[T
     return out
 
 
-def _assignment_matrix(g: TrackingGraph) -> csr_matrix:
-    """The path-cover assignment of `solve_ssp_detailed` as a CSR matrix.
+def _assignment_arrays(g: TrackingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The path-cover assignment of `solve_ssp_detailed` as the CSR arrays
+    (data, indices, indptr) of an (n, 2n) matrix, before the shift.
 
     Row i's entries are written straight into the CSR arrays in column
     order: i (unused), the tails of i's arcs (all later, so > i and < n),
@@ -226,19 +235,28 @@ def _assignment_matrix(g: TrackingGraph) -> csr_matrix:
     entry, exit_ = g.params.entry_cost, g.params.exit_cost
     link = g.trans - exit_
     link -= entry
-    unused = -(entry + g.obs + exit_)
-    shift = 1.0 - min(float(link.min(initial=0.0)), float(unused.min()))
-    link += shift
     data = np.empty(indptr[-1])
     data[is_arc] = link
     del link
-    data[first] = unused + shift
-    data[last] = 0.0 + shift
+    data[first] = -(entry + g.obs + exit_)
+    data[last] = 0.0
     indices = np.empty(indptr[-1], dtype=np.int32)
     indices[is_arc] = g.tails
     indices[first] = ar
     indices[last] = n + ar
-    return csr_matrix((data, indices, indptr), shape=(n, 2 * n))
+    return data, indices, indptr
+
+
+def _cheapest_assignment(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                         width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the cheapest matching that matches every row of
+    the CSR matrix (data, indices, indptr) with `width` columns, by
+    LAPJVsp (scipy's `min_weight_full_bipartite_matching`). Every row is
+    matched once, so one constant shift that makes all weights positive
+    leaves the optimum unchanged; `data` is shifted in place."""
+    data += 1.0 - data.min()
+    return min_weight_full_bipartite_matching(
+        csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, width)))
 
 
 def solve_ssp_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
@@ -249,14 +267,13 @@ def solve_ssp_detailed(g: TrackingGraph) -> tuple[list[list[int]], float]:
     detection first as a one-point track (entry + obs + exit), a link
     i -> j changes the cost by (trans - exit) - entry, and row i on its
     own column leaves detection i unused (-(entry + obs + exit)). Every
-    row is matched once, so one constant shift that makes all weights
-    positive leaves the optimum unchanged. LAPJVsp solves the sparse
-    assignment by shortest augmenting paths.
+    row is matched once, and LAPJVsp solves the sparse assignment by
+    shortest augmenting paths.
     """
     n = len(g.detections)
     if n == 0:
         return [], 0.0
-    rows, cols = min_weight_full_bipartite_matching(_assignment_matrix(g))
+    rows, cols = _cheapest_assignment(*_assignment_arrays(g), 2 * n)
     succ = np.empty(n, dtype=np.int64)
     succ[rows] = cols
     # a detection whose column no row took (its own row would mean
@@ -337,20 +354,65 @@ def associate_nearest(cost: np.ndarray, max_dist: float) -> list[tuple[int, int]
     return list(zip(rows.tolist(), best[rows].tolist()))
 
 
+# the weight of an unmatched row's exit in `associate_hungarian`: while the
+# rows times the span of their costs stay far below it, one more matched
+# row always lowers the total, so the solver matches as many as it can
 _FORBIDDEN = 1e9
 
 
 def associate_hungarian(cost: np.ndarray, cutoff: float = math.inf) -> list[tuple[int, int]]:
-    """Minimum-cost one-to-one matching on an (n, m) cost matrix; pairs
-    costing more than `cutoff` are forbidden. Returns (row, column) pairs
-    in row order."""
+    """The cheapest of the largest one-to-one matchings on an (n, m) cost
+    matrix, among the pairs costing at most `cutoff`; a +inf cost is a
+    forbidden pair. Returns (row, column) pairs in row order. Raises
+    ValueError for a NaN or -inf cost or a NaN cutoff.
+
+    Most calls need no solver. If the rows' least allowed pairs fall in
+    different columns, those pairs are the answer: they match every row
+    that has an allowed pair, each at the least it can cost. The same
+    holds column by column. A pair alone in its row and its column is
+    the least of both, so a call whose allowed pairs are all like that
+    takes this path. Otherwise the lone pairs are taken as they are,
+    since every largest matching holds them, and the other rows go to
+    one LAPJVsp call, posed as the flow tracker poses its path cover:
+    each row's allowed columns, plus the row's own exit column at
+    `_FORBIDDEN`, so the solver leaves as few rows unmatched as it can
+    and, among those matchings, takes the cheapest.
+    """
     cost = np.asarray(cost, dtype=np.float64)
+    # a NaN fails every comparison, so this catches NaN and -inf costs alike
+    if math.isnan(cutoff) or not (cost > -math.inf).all():
+        raise ValueError("costs must be finite or +inf and cutoff must not be NaN")
     if cost.size == 0:
         return []
-    work = np.where(cost > cutoff, _FORBIDDEN, cost)
-    rows, cols = linear_sum_assignment(work)
-    keep = cost[rows, cols] <= cutoff
-    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+    allowed = (cost <= cutoff) & (cost < math.inf)
+    least = np.where(allowed, cost, math.inf)
+    by_row = least.argmin(axis=1)   # each row's least allowed pair, if it has one
+    rows = np.flatnonzero(allowed.any(axis=1))
+    pairs = list(zip(rows.tolist(), by_row[rows].tolist()))
+    if len({j for _, j in pairs}) == len(pairs):
+        return pairs
+    by_col = least.argmin(axis=0)   # each column's least allowed pair, if it has one
+    cols = np.flatnonzero(allowed.any(axis=0))
+    pairs = sorted(zip(by_col[cols].tolist(), cols.tolist()))
+    if len({i for i, _ in pairs}) == len(pairs):
+        return pairs
+    per_row = allowed.sum(axis=1)
+    lone = (per_row == 1) & (allowed.sum(axis=0)[by_row] == 1)
+    match = np.where(lone, by_row, -1)   # row -> column, -1 unmatched
+    rest = np.flatnonzero(per_row > lone)   # the rows with an allowed pair, none lone
+    rest_cols = np.flatnonzero(allowed[rest].any(axis=0))
+    block = least[rest][:, rest_cols]
+    k, m = block.shape
+    edges = np.hstack([block < math.inf, np.eye(k, dtype=bool)])
+    weights = np.hstack([block, np.full((k, k), _FORBIDDEN)])
+    indptr = np.zeros(k + 1, dtype=np.int32)
+    np.cumsum(per_row[rest] + 1, out=indptr[1:])
+    r, c = _cheapest_assignment(weights[edges], np.nonzero(edges)[1].astype(np.int32),
+                                indptr, m + k)
+    hit = c < m   # the other rows took their exits
+    match[rest[r[hit]]] = rest_cols[c[hit]]
+    rows = np.flatnonzero(match >= 0)
+    return list(zip(rows.tolist(), match[rows].tolist()))
 
 
 # constant-velocity filter noise and the covariance of a new track's filter

@@ -12,6 +12,8 @@ TEST_ORACLES. An oracle that no test reads is dead code too.
 import ast
 import io
 import re
+import subprocess
+import sys
 import tokenize
 from collections import Counter
 from functools import reduce
@@ -86,11 +88,24 @@ def test_only_io_formats_floats():
 
 
 def test_only_track_solves_assignments():
-    # the scorer and the trackers share one assignment routine,
-    # track.associate_hungarian
-    found = [p.name for p in sorted(PACKAGE.glob("*.py"))
-             if code_names(p.read_text())["linear_sum_assignment"]]
-    assert found == ["track.py"]
+    # the scorer, the fit and the trackers share one sparse solver, which
+    # only track.py calls; the dense one of scipy.optimize has no caller
+    names = {p.name: code_names(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert [f for f, n in names.items() if n["min_weight_full_bipartite_matching"]] == ["track.py"]
+    assert [f for f, n in names.items() if n["linear_sum_assignment"]] == []
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 17 MB of memory and a fifth of a second of
+    # start-up, and no assignment needs it; a fresh interpreter shows what
+    # importing every module, cli included, loads
+    modules = ", ".join(f"groundflow.{p.stem}" for p in sorted(PACKAGE.glob("*.py"))
+                        if p.name != "__init__.py")
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import {modules}; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_named_oracle_is_read_by_a_test():

@@ -298,6 +298,22 @@ class TestAssociateHungarian:
     def test_all_beyond_cutoff(self):
         assert associate_hungarian(np.full((2, 2), 9.0), cutoff=5.0) == []
 
+    @pytest.mark.parametrize("cost, cutoff, want", [
+        ([[math.nan, 1.0]], math.inf, ValueError),
+        ([[1.0, -math.inf]], math.inf, ValueError),
+        ([[1.0, 2.0]], math.nan, ValueError),
+        (np.zeros((2, 0)), math.nan, ValueError),
+        ([[math.inf]], math.inf, []),
+        ([[math.inf, 1.0], [1.0, 2.0]], math.inf, [(0, 1), (1, 0)]),
+        ([[math.inf, 1.0], [1.0, 2.0]], 1.5, [(0, 1), (1, 0)]),
+    ])
+    def test_nan_and_minus_inf_fail_and_plus_inf_is_forbidden(self, cost, cutoff, want):
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                associate_hungarian(np.array(cost), cutoff)
+        else:
+            assert associate_hungarian(np.array(cost), cutoff) == want
+
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -1,9 +1,10 @@
 """Property-based checks of the vectorized graph build against the
 per-arc definition of the transition cost and the reach gate, of the
 solver's assignment matrix against scipy's triplet build, of the
-matrix matchers against entry-by-entry and exhaustive references, of
-the batched Kalman steps against the steps of one filter state, and of
-the two-stage trackers' high-confidence set against the noise split."""
+matrix matchers against entry-by-entry, exhaustive and dense-solver
+references, of the batched Kalman steps against the steps of one filter
+state, and of the two-stage trackers' high-confidence set against the
+noise split."""
 import itertools
 import math
 from dataclasses import replace
@@ -11,6 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import coo_matrix
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -244,8 +246,27 @@ def test_hungarian_is_the_cheapest_largest_matching(cost, cutoff):
     assert all(cost[p] <= cutoff for p in pairs)
     count, total = _brute_force_matching(cost, cutoff)
     assert len(pairs) == count
-    # a forbidden pair costs 1e9 inside the solver, so totals agree to its ulp
+    # a row left unmatched takes its exit column at 1e9 inside the solver,
+    # so totals agree to that weight's ulp
     assert math.isclose(sum(cost[p] for p in pairs), total, abs_tol=1e-6)
+
+
+def _big_m_matching(cost, cutoff) -> list[tuple[int, int]]:
+    """The dense reference: scipy.optimize's Hungarian solver on the costs
+    with every pair above the cutoff at 1e9, less the pairs above it."""
+    rows, cols = linear_sum_assignment(np.where(cost > cutoff, 1e9, cost))
+    keep = cost[rows, cols] <= cutoff
+    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 10), m=st.integers(0, 10),
+       cutoff=st.one_of(st.just(math.inf), st.floats(-5.0, 5.0)))
+def test_hungarian_takes_the_unique_optimum_of_the_dense_solver(seed, n, m, cutoff):
+    # continuous costs make the cheapest largest matching unique, so the
+    # matcher must return the very pairs of the dense reference
+    cost = np.random.default_rng(seed).uniform(-5.0, 5.0, (n, m))
+    assert associate_hungarian(cost, cutoff) == _big_m_matching(cost, cutoff)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
