@@ -17,18 +17,16 @@ from .sim import SceneConfig, SceneTruth, corrupt_detections, generate_scene, re
 from .track import (
     EdgeCostParams,
     TwoStageConfig,
-    associate_hungarian,
     associate_nearest,
     build_graph,
     run_two_stage,
     solve_ssp,
 )
 
-TRACK_MODES = ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset",
-               "nearest", "hungarian")
+TRACK_MODES = ("mussp", "mussp-nomotion", "bytestyle-kalman", "bytestyle-offset", "nearest")
 # the modes that read fitted offset fields
 FIT_MODES = ("mussp", "bytestyle-offset")
-# farthest match, in cells, of the nearest and hungarian chaining baselines
+# farthest match, in cells, of the nearest chaining baseline
 CHAIN_MAX_DIST = 10.0
 # the flow tracker's reach per full-rate frame of gap, in cells: about nine
 # steps of the fastest default agent (1.8 cells per frame)
@@ -95,16 +93,16 @@ def fit_scene_offsets(frames: list[list[Detection]], grid: GroundGrid,
                        fit_cfg, grid, workers=workers)
 
 
-def _chain_tracker(frames: list[list[Detection]], matcher) -> list[Trajectory]:
-    """Frame-to-frame chaining of pair matches into trajectories.
+def _chain_tracker(frames: list[list[Detection]]) -> list[Trajectory]:
+    """The nearest baseline: frame-to-frame chaining of nearest matches
+    into trajectories.
 
-    For each frame pair, `matcher(dist)` takes the (n, m) matrix of
-    ground-plane distances from the n detections of frame t to the m of
-    frame t + 1 and returns (i, j) index pairs. Each frame keeps one
-    list from its detections to their tracks. If several chains claim
-    one target, the first source in index order wins and the rest
-    terminate (relevant for the nearest baseline, which allows
-    many-to-one matches).
+    For each frame pair, `associate_nearest` maps each of the n
+    detections of frame t to the nearest of the m of frame t + 1, on
+    their (n, m) matrix of ground-plane distances, within
+    CHAIN_MAX_DIST. Each frame keeps one list from its detections to
+    their tracks. If several chains claim one target, the first source
+    in index order wins and the rest terminate.
     """
     tracks: list[list[tuple[int, float, float]]] = []
     owner = [-1] * len(frames[0]) if frames else []   # detection -> track, -1 if unclaimed
@@ -119,7 +117,7 @@ def _chain_tracker(frames: list[list[Detection]], matcher) -> list[Trajectory]:
             head, owner = owner, [-1] * len(nxt)
             if dets:
                 dist = np.array([[math.hypot(a.x - b.x, a.y - b.y) for b in nxt] for a in dets])
-                for i, j in matcher(dist):
+                for i, j in associate_nearest(dist, CHAIN_MAX_DIST):
                     if owner[j] < 0:
                         owner[j] = head[i]
     return [Trajectory(k, tuple(pts)) for k, pts in enumerate(tracks)]
@@ -141,9 +139,7 @@ def track_detections(frames: list[list[Detection]], mode: str,
     if mode not in TRACK_MODES:
         raise ConfigError(f"unknown tracking mode {mode!r}; choose from {TRACK_MODES}")
     if mode == "nearest":
-        return _chain_tracker(frames, lambda dist: associate_nearest(dist, CHAIN_MAX_DIST))
-    if mode == "hungarian":
-        return _chain_tracker(frames, lambda dist: associate_hungarian(dist, CHAIN_MAX_DIST))
+        return _chain_tracker(frames)
     bwd_fields = fwd_fields = None
     if fit_results is not None:
         fwd_fields = [r.fwd for r in fit_results]

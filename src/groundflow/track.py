@@ -1,23 +1,14 @@
 """Data association: motion-aware min-cost-flow tracking plus online
-baselines (greedy nearest, Hungarian bipartite, and two-stage
-ground-plane-IoU association with Kalman or learned motion).
+baselines (greedy nearest chaining, and two-stage ground-plane-IoU
+association with Kalman or learned motion).
 
 Every association is one call on a cost matrix. The online matchers
 (`associate_nearest`, `associate_hungarian`) take an (n, m) matrix whose
 rows are the earlier frame's detections or tracks and whose columns are
 the later frame's detections; their callers state the cost: ground-plane
-distance for the chaining baselines, 1 - IoU for the two-stage tracker.
+distance for the chaining baseline, 1 - IoU for the two-stage tracker.
 `metrics.clear_mot` scores with `associate_hungarian` too. Both trackers
 read a fitted field with one `losses.bilinear_sampler` per frame.
-
-Every assignment in the package has one sparse solver, scipy's LAPJVsp
-(`min_weight_full_bipartite_matching`), called by `_cheapest_assignment`
-on CSR arrays that it shifts positive. The flow tracker's path cover and
-`associate_hungarian` both pose it with one exit column per row: a
-track's end in the one, an unmatched row at `_FORBIDDEN` in the other.
-`associate_hungarian` needs it only when two rows' least allowed pairs
-share a column and two columns' share a row, and even then it takes the
-pairs alone in their row and column without it.
 
 The flow tracker charges every track one entry and one exit cost, kept
 only in the graph's `EdgeCostParams`, and every detection an observation
@@ -29,8 +20,13 @@ however far, beats paying exit + entry. In this time-ordered graph a
 set of vertex-disjoint tracks is a bipartite matching of detections as
 predecessors to detections as successors (the path-cover view of
 network-flow tracking), so the global minimum over any number of tracks
-is one sparse assignment, solved by scipy's LAPJVsp
-(`min_weight_full_bipartite_matching`).
+is one sparse assignment.
+
+Every assignment in the package has one sparse solver, scipy's LAPJVsp
+(`min_weight_full_bipartite_matching`), called by `_cheapest_assignment`
+on CSR arrays that it shifts positive. The path cover and
+`associate_hungarian` both pose it with one exit column per row: a
+track's end in the one, an unmatched row in the other.
 
 The transition arcs are three parallel arrays (heads, tails, costs) in
 lexicographic (head, tail) order over the time-sorted detections, built
@@ -354,12 +350,6 @@ def associate_nearest(cost: np.ndarray, max_dist: float) -> list[tuple[int, int]
     return list(zip(rows.tolist(), best[rows].tolist()))
 
 
-# the weight of an unmatched row's exit in `associate_hungarian`: while the
-# rows times the span of their costs stay far below it, one more matched
-# row always lowers the total, so the solver matches as many as it can
-_FORBIDDEN = 1e9
-
-
 def associate_hungarian(cost: np.ndarray, cutoff: float = math.inf) -> list[tuple[int, int]]:
     """The cheapest of the largest one-to-one matchings on an (n, m) cost
     matrix, among the pairs costing at most `cutoff`; a +inf cost is a
@@ -369,14 +359,15 @@ def associate_hungarian(cost: np.ndarray, cutoff: float = math.inf) -> list[tupl
     Most calls need no solver. If the rows' least allowed pairs fall in
     different columns, those pairs are the answer: they match every row
     that has an allowed pair, each at the least it can cost. The same
-    holds column by column. A pair alone in its row and its column is
-    the least of both, so a call whose allowed pairs are all like that
-    takes this path. Otherwise the lone pairs are taken as they are,
-    since every largest matching holds them, and the other rows go to
-    one LAPJVsp call, posed as the flow tracker poses its path cover:
-    each row's allowed columns, plus the row's own exit column at
-    `_FORBIDDEN`, so the solver leaves as few rows unmatched as it can
-    and, among those matchings, takes the cheapest.
+    holds column by column. Otherwise the k rows that have an allowed
+    pair go to one LAPJVsp call over the columns that have one, posed as
+    the flow tracker poses its path cover: each row's allowed columns,
+    plus the row's own exit column. The block's allowed costs are
+    shifted to [0, s], and an exit weighs (k + 1) s + 1, more than any
+    k - 1 pairs can save, so one more matched row always lowers the
+    total: the solver leaves as few rows unmatched as it can and, among
+    those matchings, takes the cheapest. The margin is s + 1, not 1, so
+    it survives rounding at any scale of s.
     """
     cost = np.asarray(cost, dtype=np.float64)
     # a NaN fails every comparison, so this catches NaN and -inf costs alike
@@ -396,23 +387,16 @@ def associate_hungarian(cost: np.ndarray, cutoff: float = math.inf) -> list[tupl
     pairs = sorted(zip(by_col[cols].tolist(), cols.tolist()))
     if len({i for i, _ in pairs}) == len(pairs):
         return pairs
-    per_row = allowed.sum(axis=1)
-    lone = (per_row == 1) & (allowed.sum(axis=0)[by_row] == 1)
-    match = np.where(lone, by_row, -1)   # row -> column, -1 unmatched
-    rest = np.flatnonzero(per_row > lone)   # the rows with an allowed pair, none lone
-    rest_cols = np.flatnonzero(allowed[rest].any(axis=0))
-    block = least[rest][:, rest_cols]
+    block = least[np.ix_(rows, cols)] - cost[allowed].min()
     k, m = block.shape
     edges = np.hstack([block < math.inf, np.eye(k, dtype=bool)])
-    weights = np.hstack([block, np.full((k, k), _FORBIDDEN)])
+    weights = np.hstack([block, np.diag(np.full(k, (k + 1) * block[edges[:, :m]].max() + 1.0))])
     indptr = np.zeros(k + 1, dtype=np.int32)
-    np.cumsum(per_row[rest] + 1, out=indptr[1:])
+    np.cumsum(edges.sum(axis=1), out=indptr[1:])
     r, c = _cheapest_assignment(weights[edges], np.nonzero(edges)[1].astype(np.int32),
                                 indptr, m + k)
     hit = c < m   # the other rows took their exits
-    match[rest[r[hit]]] = rest_cols[c[hit]]
-    rows = np.flatnonzero(match >= 0)
-    return list(zip(rows.tolist(), match[rows].tolist()))
+    return list(zip(rows[r[hit]].tolist(), cols[c[hit]].tolist()))
 
 
 # constant-velocity filter noise and the covariance of a new track's filter

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -106,14 +107,22 @@ class TestConfig:
 
     @pytest.mark.parametrize("line", [
         "sweep.seeds =", "sweep.modes =", "sweep.strides = 1,1", "sweep.strides = 1,2,2",
-        "sweep.seeds = 11,11", "sweep.modes = mussp,mussp",
+        "sweep.seeds = 11,11", "sweep.modes = mussp,mussp", "sweep.modes = mussp,hungarian",
     ])
     @pytest.mark.parametrize("command", ["sweep-fps", "ablate"])
-    def test_empty_or_repeated_sweep_values_are_config_error(self, tmp_path, command, line):
+    def test_empty_or_repeated_sweep_values_are_config_error(self, tmp_path, capsys, command,
+                                                             line):
+        # the bad line replaces TINY's line of its key, which a second line
+        # of one key would fail on before its value is read
+        key = line.split(" =")[0]
         p = tmp_path / "bad.cfg"
-        p.write_text(TINY + line + "\n")
+        p.write_text(re.sub(rf"^{re.escape(key)} = .*$", line, TINY, flags=re.M))
         out = tmp_path / "o"
         assert _run(command, "--config", str(p), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert key in err and "already set" not in err
+        if "hungarian" in line:
+            assert "'hungarian'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("strides", ["0,1", "-2,1", "0"])
@@ -349,13 +358,15 @@ class TestFitTrack:
         assert rc == 2
         assert not out.exists()
 
-    def test_unknown_mode_is_usage_error(self, tiny_cfg, tmp_path):
+    def test_unknown_mode_is_usage_error(self, tiny_cfg, tmp_path, capsys):
         scene = tmp_path / "scene"
         _run("simulate", "--config", tiny_cfg, "--out", str(scene))
-        with pytest.raises(SystemExit) as exc:
-            _run("track", "--scene", str(scene), "--mode", "magic",
-                 "--out", str(tmp_path / "t"))
-        assert exc.value.code == 2
+        for mode in ("magic", "hungarian"):
+            with pytest.raises(SystemExit) as exc:
+                _run("track", "--scene", str(scene), "--mode", mode,
+                     "--out", str(tmp_path / "t"))
+            assert exc.value.code == 2
+            assert repr(mode) in capsys.readouterr().err
 
     def test_missing_scene_dir(self, tmp_path):
         rc = _run("fit", "--scene", str(tmp_path / "nope"), "--out", str(tmp_path / "f"))

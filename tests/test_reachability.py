@@ -20,6 +20,7 @@ from functools import reduce
 from pathlib import Path
 
 from groundflow.cli import KEYS, ExperimentConfig
+from groundflow.pipeline import TRACK_MODES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "groundflow"
@@ -106,6 +107,14 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_names_exactly_the_tracking_modes():
+    # the first sentence of README's "Tracking modes" paragraph lists the
+    # modes, so a retired mode cannot linger there
+    paragraph = (ROOT / "README.md").read_text().split("Tracking modes:", 1)[1].split("\n\n")[0]
+    listed = re.findall(r"`([^`]+)`", re.split(r"\.\s", paragraph, maxsplit=1)[0])
+    assert sorted(listed) == sorted(TRACK_MODES)
 
 
 def test_every_named_oracle_is_read_by_a_test():
